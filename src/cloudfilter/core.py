@@ -71,6 +71,13 @@ class NeighborIndex:
     Neighbor lists are sorted by non-decreasing distance; exact ties are
     broken by lower point index so patches are deterministic across
     platforms.
+
+    The tie rule costs nothing on rows whose distances strictly rise: the
+    KD-tree already returns them in (distance, index) order, so they are
+    taken without a sort. Only rows with a tie or a coincident point are
+    sorted, and a row whose tie group may extend past the k-th neighbor is
+    re-queried with a doubling k until the query returns a point farther
+    than the k-th distance, which proves the whole tie group is covered.
     """
 
     def __init__(self, points):
@@ -106,8 +113,9 @@ class NeighborIndex:
             dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
             cand = idx != query_idx
             d, j = dist[cand], idx[cand]
-            # Grow until the tie group at the k-th distance is fully covered.
-            if kq == m or (len(d) > k and d[k - 1] < d[k]):
+            # A farther point returned means the tie group at the k-th
+            # distance is fully covered; growing further only appends.
+            if kq == m or dist[-1] > d[k - 1]:
                 break
             kq *= 2
         order = np.lexsort((j, d))
@@ -120,20 +128,25 @@ class NeighborIndex:
             raise ValueError("k exceeds cloud size")
         kq = min(k + 2, m)
         dist, idx = self._tree.query(self._points, k=kq)
-        self_col = idx == np.arange(m)[:, None]
-        # fast path: self present exactly once; mask it out with +inf and
-        # lexsort each row by (distance, index)
+        # Rows whose distances strictly rise are already in (distance, index)
+        # order with no tie at the k-th place. Only one point sits at distance
+        # 0 there, so column 0 is self.
+        fast = np.all(np.diff(dist, axis=1) > 0, axis=1)
+        out = idx[:, 1 : k + 1].astype(np.intp)
+        slow = np.flatnonzero(~fast)
+        dist, idx = dist[slow], idx[slow]
+        self_col = idx == slow[:, None]
+        # mask self out with +inf and lexsort each row by (distance, index)
         dist = np.where(self_col, np.inf, dist)
         order = np.lexsort((idx, dist), axis=-1)
         d_sorted = np.take_along_axis(dist, order, axis=-1)
-        out = np.take_along_axis(idx, order, axis=-1)[:, :k].astype(np.intp)
-        # rows where the tie group at the k-th distance may be cut off, or
-        # the self index was absent (coincident points), need the exact path
+        out[slow] = np.take_along_axis(idx, order, axis=-1)[:, :k]
+        # rows where the tie group at the k-th distance may be cut off need
+        # the exact path; so do rows the query cut self from, as all their
+        # distances are then 0
         if kq < m:
-            suspect = ~(
-                (self_col.sum(axis=1) == 1) & (d_sorted[:, k - 1] < d_sorted[:, k])
-            )
-            for i in np.flatnonzero(suspect):
+            suspect = d_sorted[:, k - 1] == d_sorted[:, k]
+            for i in slow[suspect]:
                 out[i] = self.k_nearest(i, k)
         return out
 

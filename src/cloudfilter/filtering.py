@@ -80,11 +80,19 @@ def beta(r, h, epsilon_r):
 
 
 def resolve_support_radius(params, points):
-    """Support radius h for the current positions per params.h_mode."""
+    """Support radius h for the current positions per params.h_mode.
+
+    Raises ValueError when the auto radius is 0 (every point has k
+    coincident others, as in an all-coincident cloud), where theta would
+    divide by zero.
+    """
     if params.h_mode == "fixed":
         return params.h_value
     index = build_neighbor_index(points)
-    return params.h_value * float(index.kth_distances(params.k).mean())
+    h = params.h_value * float(index.kth_distances(params.k).mean())
+    if not h > 0:
+        raise ValueError("degenerate support radius")
+    return h
 
 
 def data_energy(cloud, normals, index, k):

@@ -133,12 +133,6 @@ def orient_normals(cloud, normals):
     return oriented, n_components
 
 
-def mean_knn_distance(points, k):
-    """Mean distance to the k-th nearest neighbor over all points."""
-    index = build_neighbor_index(points)
-    return float(index.kth_distances(k).mean())
-
-
 def bilateral_filter_normals(cloud, normals, params):
     """Edge-preserving smoothing of a consistently oriented normal field.
 

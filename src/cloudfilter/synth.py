@@ -7,9 +7,6 @@ from .core import PointCloud, bbox_diagonal, normalize_cloud
 
 SHAPE_KINDS = ("plane", "cube", "sphere", "wedge", "icosahedron")
 
-# Seeded generator recorded for cross-run reproducibility
-RNG_ALGORITHM = "numpy.random.PCG64"
-
 
 @dataclass
 class NoiseSpec:

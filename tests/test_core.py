@@ -17,6 +17,40 @@ def brute_force_knn(points, query_idx, k):
     return order[:k]
 
 
+def permuted_grid(n, seed):
+    """n x n unit-spaced grid plane with its rows in seeded random order."""
+    g = np.arange(float(n))
+    x, y = np.meshgrid(g, g)
+    pts = np.column_stack([x.ravel(), y.ravel(), np.zeros(n * n)])
+    return pts[np.random.default_rng(seed).permutation(n * n)]
+
+
+class ReversedTieTree:
+    """KD-tree stand-in that breaks distance ties by higher index, the
+    opposite of the tie rule, and records the k of every query."""
+
+    def __init__(self, points):
+        self._points = np.asarray(points)
+        self.ks = []
+
+    def query(self, x, k):
+        self.ks.append(k)
+        x = np.asarray(x)
+        rows = np.atleast_2d(x)
+        d = np.linalg.norm(self._points[None, :, :] - rows[:, None, :], axis=2)
+        rank = np.broadcast_to(-np.arange(len(self._points)), d.shape)
+        idx = np.lexsort((rank, d), axis=-1)[:, :k]
+        dist = np.take_along_axis(d, idx, axis=-1)
+        return (dist[0], idx[0]) if x.ndim == 1 else (dist, idx)
+
+
+def neighbor_index(points, reversed_ties):
+    index = build_neighbor_index(points)
+    if reversed_ties:
+        index._tree = ReversedTieTree(points)
+    return index
+
+
 class TestNeighborIndex:
     def test_single_point_cloud(self):
         index = build_neighbor_index([[0.0, 0.0, 0.0]])
@@ -58,6 +92,57 @@ class TestNeighborIndex:
         all_nbrs = index.k_nearest_all(30)
         for i in range(500):
             assert list(all_nbrs[i]) == list(brute_force_knn(pts, i, 30))
+
+    @pytest.mark.parametrize("k", [6, 30])
+    def test_tied_rows_stop_once_tie_group_covered(self, k):
+        pts = permuted_grid(30, seed=7)
+        index = neighbor_index(pts, reversed_ties=True)
+        for i in range(len(pts)):
+            assert list(index.k_nearest(i, k)) == list(brute_force_knn(pts, i, k))
+        # some rows need a larger query to cover the tie group at the k-th
+        # distance, yet none needs a query over the whole cloud
+        assert len(index._tree.ks) > len(pts)
+        assert max(index._tree.ks) < len(pts)
+
+    @pytest.mark.parametrize("reversed_ties", [False, True])
+    @pytest.mark.parametrize("k", [6, 10])
+    def test_all_permuted_grid_matches_brute_force(self, k, reversed_ties):
+        # ties inside rows and at the k-th distance
+        pts = permuted_grid(12, seed=3)
+        all_nbrs = neighbor_index(pts, reversed_ties).k_nearest_all(k)
+        for i in range(len(pts)):
+            assert list(all_nbrs[i]) == list(brute_force_knn(pts, i, k))
+
+    @pytest.mark.parametrize("reversed_ties", [False, True])
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("copies", [3, 4])
+    def test_all_coincident_copies_match_brute_force(
+        self, copies, mixed, reversed_ties
+    ):
+        # self is often not in column 0 of the tree's answer; mixed clouds
+        # give each point 1..copies copies, so some rows have exactly one
+        # coincident point and strictly rising distances after it
+        rng = np.random.default_rng(copies)
+        base = rng.random((40, 3))
+        counts = rng.integers(1, copies + 1, len(base)) if mixed else copies
+        pts = np.repeat(base, counts, axis=0)
+        pts = pts[rng.permutation(len(pts))]
+        index = neighbor_index(pts, reversed_ties)
+        for k in (2, copies, 10):
+            all_nbrs = index.k_nearest_all(k)
+            for i in range(len(pts)):
+                assert list(all_nbrs[i]) == list(brute_force_knn(pts, i, k))
+
+    @pytest.mark.parametrize("reversed_ties", [False, True])
+    @pytest.mark.parametrize("offset", [1, 2])
+    def test_all_query_covers_whole_cloud(self, offset, reversed_ties):
+        # k = m - 1 and k = m - 2 query every point; grid and random rows
+        rand = np.random.default_rng(2).random((9, 3))
+        pts = np.concatenate([permuted_grid(4, seed=1), rand])
+        k = len(pts) - offset
+        all_nbrs = neighbor_index(pts, reversed_ties).k_nearest_all(k)
+        for i in range(len(pts)):
+            assert list(all_nbrs[i]) == list(brute_force_knn(pts, i, k))
 
     def test_coincident_points_tie_broken_by_index(self):
         pts = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0.0]])

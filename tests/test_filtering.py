@@ -207,6 +207,11 @@ class TestFilterCloud:
         with pytest.raises(ValueError, match="k exceeds cloud size"):
             filter_iteration(cloud, cloud.normals, FilterParams(k=9))
 
+    def test_all_coincident_cloud_rejected(self):
+        cloud = PointCloud(np.ones((10, 3)), np.tile([0.0, 0.0, 1.0], (10, 1)))
+        with pytest.raises(ValueError, match="degenerate support radius"):
+            filter_cloud(cloud, cloud.normals, FilterParams(k=5, t=1))
+
 
 class TestFilterParams:
     def test_invalid_values_rejected(self):
