@@ -1,4 +1,13 @@
-"""Point cloud file ingest and emit: XYZ text and ASCII PLY."""
+"""Point cloud file ingest and emit: XYZ text and ASCII PLY.
+
+Reading parses the numeric body in one np.loadtxt call. The per-line parser
+runs only when that parse fails or returns a shape the format forbids, so an
+accepted file yields the same float64 values either way and a rejected file
+gets the line parser's `file:line` message. Writing formats every value as
+%.9g, a block of rows at a time.
+"""
+
+import warnings
 
 import numpy as np
 
@@ -6,15 +15,18 @@ from .core import PointCloud
 
 FORMATS = ("xyz", "ply-ascii")
 
+# Rows formatted per write call; bounds the text held in memory at once.
+WRITE_CHUNK_ROWS = 8192
+
 
 class CloudIOError(ValueError):
     pass
 
 
 def _finalize(points, normals, path):
-    points = np.asarray(points, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     if normals is not None:
-        normals = np.asarray(normals, dtype=np.float64)
+        normals = np.ascontiguousarray(normals, dtype=np.float64)
         norms = np.linalg.norm(normals, axis=1)
         bad = np.flatnonzero(norms < 1e-12)
         if len(bad):
@@ -23,7 +35,28 @@ def _finalize(points, normals, path):
     return PointCloud(points, normals)
 
 
-def _read_xyz(path):
+def _parse_table(source):
+    """Whitespace-separated float64 rows of `source` (a text file or a list of
+    lines) as an (n, width) array, or None if np.loadtxt rejects them or
+    warns (it warns when there are no rows)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(source, dtype=np.float64, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+
+
+def _read_xyz(path, fast=True):
+    """XYZ reader; fast=False runs the per-line parser alone (the tests'
+    reference for the np.loadtxt path)."""
+    if fast:
+        with open(path) as fh:
+            table = _parse_table(fh)
+        if table is not None and table.shape[1] in (3, 6):
+            normals = table[:, 3:] if table.shape[1] == 6 else None
+            return _finalize(table[:, :3], normals, path)
+
     points, normals = [], []
     width = None
     with open(path) as fh:
@@ -50,7 +83,9 @@ def _read_xyz(path):
     return _finalize(points, normals if normals else None, path)
 
 
-def _read_ply_ascii(path):
+def _read_ply_ascii(path, fast=True):
+    """ASCII PLY reader; fast=False parses the vertex block line by line
+    only (the tests' reference for the np.loadtxt path)."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "ply":
@@ -64,12 +99,23 @@ def _read_ply_ascii(path):
         if not fields:
             continue
         if fields[0] == "format":
+            if len(fields) < 2:
+                raise CloudIOError(f"{path}:{lineno}: malformed format line")
             if fields[1] != "ascii":
                 raise CloudIOError(f"{path}:{lineno}: only ascii PLY supported")
         elif fields[0] == "element":
+            if len(fields) < 2:
+                raise CloudIOError(f"{path}:{lineno}: malformed element line")
             in_vertex_element = fields[1] == "vertex"
             if in_vertex_element:
-                vertex_count = int(fields[2])
+                try:
+                    vertex_count = int(fields[2])
+                except (IndexError, ValueError):
+                    raise CloudIOError(
+                        f"{path}:{lineno}: vertex count is not an integer"
+                    ) from None
+                if vertex_count < 0:
+                    raise CloudIOError(f"{path}:{lineno}: negative vertex count")
         elif fields[0] == "property" and in_vertex_element:
             properties.append(fields[-1])
         elif fields[0] == "end_header":
@@ -78,15 +124,22 @@ def _read_ply_ascii(path):
     if vertex_count is None or body_start is None:
         raise CloudIOError(f"{path}: missing vertex element or end_header")
     try:
-        cols = {name: properties.index(name) for name in ("x", "y", "z")}
+        point_cols = [properties.index(name) for name in ("x", "y", "z")]
     except ValueError:
         raise CloudIOError(f"{path}: vertex element lacks x/y/z") from None
-    has_normals = all(n in properties for n in ("nx", "ny", "nz"))
+    normal_cols = None
+    if all(n in properties for n in ("nx", "ny", "nz")):
+        normal_cols = [properties.index(name) for name in ("nx", "ny", "nz")]
 
     body = lines[body_start : body_start + vertex_count]
     if len(body) < vertex_count:
         raise CloudIOError(f"{path}: truncated vertex data")
-    points, normals = [], [] if has_normals else None
+    table = _parse_table(body) if fast else None
+    if table is not None and table.shape[0] == vertex_count and table.shape[1] >= len(properties):
+        normals = None if normal_cols is None else table[:, normal_cols]
+        return _finalize(table[:, point_cols], normals, path)
+
+    points, normals = [], [] if normal_cols is not None else None
     for offset, line in enumerate(body):
         lineno = body_start + 1 + offset
         fields = line.strip().split()
@@ -96,15 +149,9 @@ def _read_ply_ascii(path):
             values = [float(f) for f in fields]
         except ValueError:
             raise CloudIOError(f"{path}:{lineno}: malformed number") from None
-        points.append([values[cols["x"]], values[cols["y"]], values[cols["z"]]])
-        if has_normals:
-            normals.append(
-                [
-                    values[properties.index("nx")],
-                    values[properties.index("ny")],
-                    values[properties.index("nz")],
-                ]
-            )
+        points.append([values[c] for c in point_cols])
+        if normal_cols is not None:
+            normals.append([values[c] for c in normal_cols])
     if not points:
         raise CloudIOError(f"{path}: empty cloud")
     return _finalize(points, normals, path)
@@ -118,24 +165,15 @@ def read_cloud(path, format="xyz"):
     raise CloudIOError(f"unknown format: {format!r}")
 
 
-def _fmt(value):
-    return f"{value:.9g}"
-
-
 def write_cloud(cloud, path, format="xyz"):
-    """Emit a cloud in the same dialect read_cloud accepts; 9 significant
-    digits, deterministic byte output."""
+    """Emit a cloud in the same dialect read_cloud accepts: every value as
+    %.9g (9 significant digits), deterministic byte output."""
     if len(cloud) == 0:
         raise CloudIOError("empty cloud")
     if format not in FORMATS:
         raise CloudIOError(f"unknown format: {format!r}")
-    rows = []
-    if cloud.normals is not None:
-        for p, n in zip(cloud.points, cloud.normals):
-            rows.append(" ".join(_fmt(v) for v in (*p, *n)))
-    else:
-        for p in cloud.points:
-            rows.append(" ".join(_fmt(v) for v in p))
+    columns = [cloud.points] if cloud.normals is None else [cloud.points, cloud.normals]
+    row = " ".join(["%.9g"] * (3 * len(columns))) + "\n"
     with open(path, "w", newline="\n") as fh:
         if format == "ply-ascii":
             fh.write("ply\nformat ascii 1.0\n")
@@ -144,5 +182,6 @@ def write_cloud(cloud, path, format="xyz"):
             if cloud.normals is not None:
                 fh.write("property float nx\nproperty float ny\nproperty float nz\n")
             fh.write("end_header\n")
-        fh.write("\n".join(rows))
-        fh.write("\n")
+        for start in range(0, len(cloud), WRITE_CHUNK_ROWS):
+            block = np.hstack([c[start : start + WRITE_CHUNK_ROWS] for c in columns])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -8,8 +8,12 @@ UNIT_NORM_TOL = 1e-6
 
 
 def as_points(points):
-    """Coerce to a float64 (M, 3) array, validating finiteness."""
-    pts = np.asarray(points, dtype=np.float64)
+    """Coerce to a C-contiguous float64 (M, 3) array, validating finiteness.
+
+    C order makes results independent of the caller's memory layout: numpy
+    reductions such as mean(axis=0) sum in a layout-dependent order.
+    """
+    pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (M, 3)")
     if not np.all(np.isfinite(pts)):
@@ -27,7 +31,7 @@ class PointCloud:
     def __post_init__(self):
         self.points = as_points(self.points)
         if self.normals is not None:
-            self.normals = np.asarray(self.normals, dtype=np.float64)
+            self.normals = np.ascontiguousarray(self.normals, dtype=np.float64)
             if self.normals.shape != self.points.shape:
                 raise ValueError("normals must match points in length")
             if not np.all(np.isfinite(self.normals)):

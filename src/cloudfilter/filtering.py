@@ -99,7 +99,7 @@ def data_energy(cloud, normals, index, k):
     """Sum over points and their patches of the squared projections of
     p_i - p_j onto both endpoint normals."""
     pts = index.points
-    normals = np.asarray(normals, dtype=np.float64)
+    normals = np.ascontiguousarray(normals, dtype=np.float64)
     nbrs = index.k_nearest_all(k)
     diff = pts[:, None, :] - pts[nbrs]  # p_i - p_j
     proj_j = np.einsum("ikj,ikj->ik", diff, normals[nbrs])
@@ -188,7 +188,7 @@ def filter_iteration(cloud, normals, params):
     support radius, updates every point from the pre-iteration snapshot and
     returns the new cloud (normals carried unchanged) plus diagnostics.
     """
-    normals = np.asarray(normals, dtype=np.float64)
+    normals = np.ascontiguousarray(normals, dtype=np.float64)
     pts = cloud.points
     if normals.shape != pts.shape:
         raise ValueError("normals must match points in length")

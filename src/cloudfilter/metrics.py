@@ -32,6 +32,26 @@ class MetricReport:
         return "chamfer,mse,s1_count,s2_count"
 
 
+def _check_mse_args(a, b, m, variant):
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if len(a) < m:
+        raise ValueError("too few ground-truth points")
+    if len(b) == 0:
+        raise ValueError("empty point set")
+    if variant not in MSE_VARIANTS:
+        raise ValueError("unknown mse variant")
+
+
+def _chamfer(d_ab, d_ba):
+    return float(np.mean(d_ab**2) + np.mean(d_ba**2))
+
+
+def _mse(dist, a, b, m, variant):
+    denom = len(a) if variant == "printed" else len(b)
+    return float(np.sum(dist**2)) / (denom * m)
+
+
 def chamfer_distance(s1, s2):
     """Symmetric mean of squared nearest-neighbor distances between two sets."""
     a = as_points(s1)
@@ -40,7 +60,7 @@ def chamfer_distance(s1, s2):
         raise ValueError("empty point set")
     d_ab, _ = cKDTree(b).query(a)
     d_ba, _ = cKDTree(a).query(b)
-    return float(np.mean(d_ab**2) + np.mean(d_ba**2))
+    return _chamfer(d_ab, d_ba)
 
 
 def mean_square_error(s1, s2, m=10, variant="described"):
@@ -53,28 +73,29 @@ def mean_square_error(s1, s2, m=10, variant="described"):
     """
     a = as_points(s1)
     b = as_points(s2)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if len(a) < m:
-        raise ValueError("too few ground-truth points")
-    if len(b) == 0:
-        raise ValueError("empty point set")
-    if variant not in MSE_VARIANTS:
-        raise ValueError("unknown mse variant")
+    _check_mse_args(a, b, m, variant)
     dist, _ = cKDTree(a).query(b, k=m)
-    dist = np.atleast_2d(dist.reshape(len(b), m))
-    total = float(np.sum(dist**2))
-    denom = len(a) if variant == "printed" else len(b)
-    return total / (denom * m)
+    return _mse(dist.reshape(len(b), m), a, b, m, variant)
 
 
 def evaluate(ground_truth, predicted, m=10, variant="described"):
-    """Full metric report for a predicted set against ground truth."""
+    """Full metric report for a predicted set against ground truth.
+
+    Equal to the separate chamfer_distance and mean_square_error calls, with
+    one ground-truth KD-tree: the predicted-to-ground-truth distances of the
+    Chamfer term are column 0 of the MSE's m-nearest query.
+    """
     a = as_points(ground_truth)
     b = as_points(predicted)
+    if len(a) == 0 or len(b) == 0:
+        raise ValueError("empty point set")
+    _check_mse_args(a, b, m, variant)
+    d_ab, _ = cKDTree(b).query(a)
+    dist, _ = cKDTree(a).query(b, k=m)
+    dist = dist.reshape(len(b), m)
     return MetricReport(
-        chamfer=chamfer_distance(a, b),
-        mse=mean_square_error(a, b, m=m, variant=variant),
+        chamfer=_chamfer(d_ab, dist[:, 0]),
+        mse=_mse(dist, a, b, m, variant),
         s1_count=len(a),
         s2_count=len(b),
     )

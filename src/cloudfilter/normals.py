@@ -3,7 +3,11 @@
 import numpy as np
 from dataclasses import dataclass
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+from scipy.sparse.csgraph import (
+    breadth_first_order,
+    connected_components,
+    minimum_spanning_tree,
+)
 
 from .core import PointCloud, build_neighbor_index
 
@@ -109,28 +113,34 @@ def orient_normals(cloud, normals):
     graph = graph.maximum(graph.T)
 
     n_components, labels = connected_components(graph, directed=False)
-    mst = minimum_spanning_tree(graph).tocsr()
-    adjacency = (mst + mst.T).tolil().rows
+    mst = minimum_spanning_tree(graph).tocoo()
 
-    oriented = normals.copy()
-    visited = np.zeros(m, dtype=bool)
-    for comp in range(n_components):
-        members = np.flatnonzero(labels == comp)
-        root = members[np.argmax(pts[members, 2])]
-        if oriented[root, 2] < 0:
-            oriented[root] = -oriented[root]
-        visited[root] = True
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            for b in adjacency[a]:
-                if visited[b]:
-                    continue
-                if oriented[a] @ oriented[b] < 0:
-                    oriented[b] = -oriented[b]
-                visited[b] = True
-                stack.append(b)
-    return oriented, n_components
+    # Each component's root is its highest point, the lowest index among
+    # equal heights. Every root hangs off a virtual node m whose normal is
+    # +z, so one breadth-first pass covers the whole forest and the root's
+    # "toward +z" rule is the edge rule below.
+    by_height = np.lexsort((-pts[:, 2], labels))
+    roots = by_height[np.searchsorted(labels[by_height], np.arange(n_components))]
+    heads = np.concatenate([mst.row, np.full(n_components, m)])
+    tails = np.concatenate([mst.col, roots])
+    forest = coo_matrix((np.ones(len(heads)), (heads, tails)), shape=(m + 1, m + 1))
+    order, parent = breadth_first_order(
+        forest.tocsr(), m, directed=False, return_predecessors=True
+    )
+    child = order[1:]
+    extended = np.vstack([normals, [0.0, 0.0, 1.0]])
+    # Stacked matmul runs the same BLAS dot as `a @ b`, so a near-perpendicular
+    # pair gets the same sign as a per-edge dot would give it.
+    tree_dots = np.matmul(extended[parent[child], None, :], extended[child, :, None]).ravel()
+
+    # A node's sign depends only on its tree path: it flips when the dot with
+    # its parent's oriented normal is negative. Parents precede children in
+    # breadth-first order.
+    signs = [1.0] * (m + 1)
+    for b, a, d in zip(child.tolist(), parent[child].tolist(), tree_dots.tolist()):
+        signs[b] = -1.0 if signs[a] * d < 0 else 1.0
+    normals *= np.array(signs[:m])[:, None]  # in place: normals is this call's copy
+    return normals, n_components
 
 
 def bilateral_filter_normals(cloud, normals, params):
@@ -141,7 +151,7 @@ def bilateral_filter_normals(cloud, normals, params):
     Passes are Jacobi-style: each reads only the previous pass's normals.
     """
     pts = cloud.points
-    normals = np.array(normals, dtype=np.float64)
+    normals = np.array(normals, dtype=np.float64, order="C")
     if normals.shape != pts.shape:
         raise ValueError("normals must match points in length")
     m = len(pts)

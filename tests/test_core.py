@@ -204,6 +204,17 @@ class TestNormalizeCloud:
         cloud, _ = normalize_cloud(PointCloud([[0, 0, 0], [2, 0, 0.0]], normals))
         assert np.array_equal(cloud.normals, normals)
 
+    def test_memory_layout_does_not_change_output(self):
+        pts = np.random.default_rng(6).normal(3.0, 10.0, size=(1000, 3))
+        normals = np.tile([0.0, 0.0, 1.0], (1000, 1))
+        c_cloud, c_transform = normalize_cloud(PointCloud(pts, normals))
+        f_cloud, f_transform = normalize_cloud(
+            PointCloud(np.asfortranarray(pts), np.asfortranarray(normals))
+        )
+        assert f_cloud.points.tobytes() == c_cloud.points.tobytes()
+        assert f_transform.translation.tobytes() == c_transform.translation.tobytes()
+        assert f_cloud.points.flags.c_contiguous and f_cloud.normals.flags.c_contiguous
+
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="degenerate extent"):
             normalize_cloud(PointCloud([[1, 1, 1], [1, 1, 1.0]]))

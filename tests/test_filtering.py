@@ -151,6 +151,16 @@ class TestUpdatePoint:
 
 
 class TestFilterCloud:
+    def test_memory_layout_does_not_change_output(self):
+        cloud = make_shape("sphere", 8)
+        noisy = cloud.points + np.random.default_rng(2).normal(0.0, 0.01, cloud.points.shape)
+        params = FilterParams(k=10, t=2)
+        c_out, c_history = filter_cloud(PointCloud(noisy, cloud.normals), cloud.normals, params)
+        f_cloud = PointCloud(np.asfortranarray(noisy), np.asfortranarray(cloud.normals))
+        f_out, f_history = filter_cloud(f_cloud, np.asfortranarray(cloud.normals), params)
+        assert f_out.points.tobytes() == c_out.points.tobytes()
+        assert f_history == c_history
+
     def test_history_length_and_cloud_size(self):
         cloud = make_shape("plane", 10)
         params = FilterParams(k=8, t=3)

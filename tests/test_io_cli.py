@@ -4,6 +4,7 @@ import pytest
 from cloudfilter import (
     PointCloud,
     RunConfig,
+    cloud_io,
     make_shape,
     read_cloud,
     run_pipeline,
@@ -138,6 +139,189 @@ class TestPlyIO:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(CloudIOError, match="unknown format"):
             read_cloud(tmp_path / "f", format="obj")
+
+
+def _ply(rows, properties="x y z", count=None, after_vertex=()):
+    lines = ["ply", "format ascii 1.0", "comment written by hand"]
+    lines.append(f"element vertex {len(rows) if count is None else count}")
+    lines += [f"property float {name}" for name in properties.split()]
+    lines += list(after_vertex)
+    lines.append("end_header")
+    return "\n".join(lines + rows) + "\n"
+
+
+# (case id, format, file text). Each input goes through read_cloud and
+# through the per-line parser alone; see TestFastReadParity.
+PARITY_CASES = [
+    ("xyz-3", "xyz", "1 2 3\n4 5 6\n"),
+    ("xyz-6", "xyz", "0 0 0 0 0 2\n1 1 1 0 1 0\n"),
+    ("xyz-comment-line", "xyz", "# header\n1 2 3\n"),
+    ("xyz-indented-comment", "xyz", "1 2 3\n  # note\n4 5 6\n"),
+    ("xyz-inline-hash", "xyz", "1 2 3 # note\n"),
+    ("xyz-inline-hash-6", "xyz", "1 2 3 #a b\n"),
+    ("xyz-blank-lines", "xyz", "\n1 2 3\n\n4 5 6\n\n"),
+    ("xyz-whitespace-lines", "xyz", "1 2 3\n   \n\t\n \x0c\xa0\n4 5 6\n"),
+    ("xyz-tabs", "xyz", "1\t2\t3\n\t4 5\t6\t\n"),
+    ("xyz-crlf", "xyz", "1 2 3\r\n4 5 6\r\n"),
+    ("xyz-lone-cr", "xyz", "1 2 3\r4 5 6\r"),
+    ("xyz-form-feed-separator", "xyz", "1\x0c2 3\n"),
+    ("xyz-no-final-newline", "xyz", "1 2 3\n4 5 6"),
+    ("xyz-mixed-widths", "xyz", "1 2 3\n1 2 3 0 0 1\n"),
+    ("xyz-mixed-widths-6-first", "xyz", "1 2 3 0 0 1\n1 2 3\n"),
+    ("xyz-four-fields", "xyz", "1 2 3 4\n"),
+    ("xyz-four-fields-later", "xyz", "1 2 3\n1 2 3 4\n"),
+    ("xyz-one-field", "xyz", "1\n"),
+    ("xyz-underscore", "xyz", "1_0 2 3\n"),
+    ("xyz-unicode-digits", "xyz", "١٢ 2 3\n"),
+    ("xyz-nan", "xyz", "nan 0 0\n"),
+    ("xyz-inf", "xyz", "0 -inf 0\n"),
+    ("xyz-overflow", "xyz", "0 0 1e500\n"),
+    ("xyz-overflow-normal", "xyz", "0 0 0 1e500 0 0\n"),
+    ("xyz-subnormal-and-signed-zero", "xyz", "4.9e-324 -1e-310 -0.0\n1e-400 +1. -.5\n"),
+    ("xyz-malformed", "xyz", "1 2 x\n"),
+    ("xyz-hex", "xyz", "0x10 2 3\n"),
+    ("xyz-zero-normal", "xyz", "0 0 0 0 0 1\n1 0 0 0 0 0\n"),
+    ("xyz-empty", "xyz", ""),
+    ("xyz-only-comments", "xyz", "# a\n\n# b\n"),
+    ("ply-basic", "ply-ascii", _ply(["0 0 0", "1 2 3"])),
+    ("ply-normals", "ply-ascii", _ply(["0 0 0 0 0 2", "1 2 3 1 0 0"], "x y z nx ny nz")),
+    ("ply-reordered", "ply-ascii", _ply(["3 2 1", "6 5 4"], "z y x")),
+    ("ply-reordered-normals", "ply-ascii",
+     _ply(["0 1 0 2 1 3", "1 4 0 5 0 6"], "nx x ny y nz z")),
+    ("ply-extra-properties", "ply-ascii",
+     _ply(["0 0 0 255 0 0", "1 2 3 0 255 7"], "x y z red green blue")),
+    ("ply-wider-rows", "ply-ascii", _ply(["0 0 0 9 9", "1 2 3 9 9"])),
+    ("ply-ragged-rows", "ply-ascii", _ply(["0 0 0 9", "1 2 3"])),
+    ("ply-blank-line-in-body", "ply-ascii", _ply(["0 0 0", "", "1 2 3"], count=2)),
+    ("ply-trailing-faces", "ply-ascii",
+     _ply(["0 0 0", "1 0 0", "0 1 0", "3 0 1 2"], count=3)),
+    ("ply-face-element", "ply-ascii", _ply(
+        ["0 0 0", "1 0 0", "0 1 0", "3 0 1 2"], count=3,
+        after_vertex=["element face 1", "property list uchar int vertex_indices"])),
+    ("ply-short-vertex-line", "ply-ascii", _ply(["0 0 0", "1 2"])),
+    ("ply-malformed-number", "ply-ascii", _ply(["0 0 0", "1 2 y"])),
+    ("ply-underscore", "ply-ascii", _ply(["1_0 0 0"])),
+    ("ply-nan", "ply-ascii", _ply(["nan 0 0"])),
+    ("ply-crlf", "ply-ascii", _ply(["0 0 0", "1 2 3"]).replace("\n", "\r\n")),
+    ("ply-zero-vertices", "ply-ascii", _ply([], count=0)),
+    ("ply-truncated", "ply-ascii", _ply(["0 0 0"], count=2)),
+]
+
+
+def _outcome(read, path):
+    """Arrays of a successful read, or the type and text of its exception."""
+    try:
+        cloud = read(path)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    normals = None if cloud.normals is None else cloud.normals.tobytes()
+    return cloud.points.tobytes(), normals
+
+
+class TestFastReadParity:
+    @pytest.mark.parametrize(
+        "text, format", [(t, f) for _, f, t in PARITY_CASES],
+        ids=[case_id for case_id, _, _ in PARITY_CASES],
+    )
+    def test_same_as_line_parser(self, tmp_path, text, format):
+        path = tmp_path / ("in.ply" if format == "ply-ascii" else "in.xyz")
+        path.write_bytes(text.encode())
+        line_parser = {"xyz": cloud_io._read_xyz, "ply-ascii": cloud_io._read_ply_ascii}[format]
+        expected = _outcome(lambda p: line_parser(p, fast=False), path)
+        assert _outcome(lambda p: read_cloud(p, format=format), path) == expected
+
+    @pytest.mark.parametrize("format", ["xyz", "ply-ascii"])
+    @pytest.mark.parametrize("with_normals", [False, True])
+    def test_written_files_take_the_fast_path(self, tmp_path, monkeypatch, format, with_normals):
+        cloud = make_shape("cube", 6)
+        if not with_normals:
+            cloud = PointCloud(cloud.points)
+        path = tmp_path / "c"
+        write_cloud(cloud, path, format)
+        tables = []
+
+        def recording_parse(source):
+            tables.append(parse(source))
+            return tables[-1]
+
+        parse = cloud_io._parse_table
+        monkeypatch.setattr(cloud_io, "_parse_table", recording_parse)
+        read_cloud(path, format)
+        assert len(tables) == 1
+        assert tables[0].shape == (len(cloud), 6 if with_normals else 3)
+
+
+class TestPlyHeaderErrors:
+    @pytest.mark.parametrize(
+        "header_line, lineno, message",
+        [
+            ("element vertex two", 4, "vertex count is not an integer"),
+            ("element vertex", 4, "vertex count is not an integer"),
+            ("element vertex -2", 4, "negative vertex count"),
+            ("element", 4, "malformed element line"),
+        ],
+    )
+    def test_bad_element_line(self, tmp_path, header_line, lineno, message):
+        path = tmp_path / "h.ply"
+        path.write_text(_ply(["0 0 0"]).replace("element vertex 1", header_line))
+        with pytest.raises(CloudIOError, match=rf"h\.ply:{lineno}: {message}"):
+            read_cloud(path, format="ply-ascii")
+
+    def test_bare_format_line(self, tmp_path):
+        path = tmp_path / "h.ply"
+        path.write_text(_ply(["0 0 0"]).replace("format ascii 1.0", "format"))
+        with pytest.raises(CloudIOError, match=r"h\.ply:2: malformed format line"):
+            read_cloud(path, format="ply-ascii")
+
+
+def _old_write_rows(values):
+    """The writer's former per-value formatting, as the byte reference."""
+    return "\n".join(" ".join(f"{v:.9g}" for v in row) for row in values) + "\n"
+
+
+def _first_difference(got, want):
+    """(line index, got line, wanted line) of the first differing line, or
+    None; keeps a failure readable where a diff of the whole text is not."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for i in range(max(len(got_lines), len(want_lines))):
+        g = got_lines[i] if i < len(got_lines) else None
+        w = want_lines[i] if i < len(want_lines) else None
+        if g != w:
+            return i, g, w
+    return None
+
+
+class TestWriteBytes:
+    SPECIAL = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 1e-300, 1.0, -7.0,
+               12345678901.0, 0.1, 1 / 3, 123456789.5]
+
+    def _points(self, rows):
+        rng = np.random.default_rng(4)
+        pts = rng.normal(0.0, 10.0, size=(rows, 3)) * 10.0 ** rng.integers(-8, 9, size=(rows, 1))
+        flat = pts.reshape(-1)
+        flat[: len(self.SPECIAL)] = self.SPECIAL[: len(flat)]
+        pts[-1] = [-0.0, 42.0, 1e-300]
+        return pts
+
+    @pytest.mark.parametrize("format", ["xyz", "ply-ascii"])
+    @pytest.mark.parametrize("rows", [1, 5, cloud_io.WRITE_CHUNK_ROWS + 3])
+    def test_points_match_per_value_format(self, tmp_path, format, rows):
+        pts = self._points(rows)
+        path = tmp_path / "o"
+        write_cloud(PointCloud(pts), path, format)
+        body = path.read_bytes().decode().split("end_header\n")[-1]
+        assert _first_difference(body, _old_write_rows(pts)) is None
+
+    def test_normals_match_per_value_format(self, tmp_path):
+        rows = 2 * cloud_io.WRITE_CHUNK_ROWS + 1
+        pts = self._points(rows)
+        normals = np.random.default_rng(5).normal(size=(rows, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        normals[:3] = [[-0.0, 0.0, -1.0], [1.0, -0.0, 0.0], [0.6, 0.8, 0.0]]
+        path = tmp_path / "o.xyz"
+        write_cloud(PointCloud(pts, normals), path)
+        expected = _old_write_rows(np.hstack([pts, normals]))
+        assert _first_difference(path.read_bytes().decode(), expected) is None
 
 
 class TestRunPipeline:

@@ -91,6 +91,17 @@ class TestEvaluate:
         assert report.chamfer == pytest.approx(chamfer_distance(a, b))
         assert report.mse == pytest.approx(mean_square_error(a, b))
 
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    @pytest.mark.parametrize("variant", ["described", "printed"])
+    def test_equals_separate_calls_exactly(self, m, variant):
+        rng = np.random.default_rng(m)
+        a = rng.random((400, 3))
+        b = np.vstack([a[:50], rng.random((300, 3)), a[:5]])  # exact and tied matches
+        for pred in (b, b[:1]):
+            report = evaluate(a, pred, m=m, variant=variant)
+            assert report.chamfer == chamfer_distance(a, pred)
+            assert report.mse == mean_square_error(a, pred, m=m, variant=variant)
+
     def test_text_and_csv_round_trip(self):
         report = MetricReport(chamfer=0.5, mse=0.25, s1_count=3, s2_count=4)
         text = report.to_text()

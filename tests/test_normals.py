@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from cloudfilter import (
     BilateralParams,
@@ -8,7 +10,52 @@ from cloudfilter import (
     make_shape,
     orient_normals,
 )
-from cloudfilter.core import PointCloud
+from cloudfilter.core import PointCloud, build_neighbor_index
+from cloudfilter.normals import _MIN_WEIGHT, ORIENT_GRAPH_K
+
+
+def dfs_orient(cloud, normals):
+    """Reference orientation: the former depth-first sign propagation, one
+    `@` per tree edge, over the same k-NN graph and spanning forest."""
+    pts = cloud.points
+    normals = np.array(normals, dtype=np.float64)
+    m = len(pts)
+    k = min(ORIENT_GRAPH_K, m - 1)
+    nbrs = build_neighbor_index(pts).k_nearest_all(k)
+    rows = np.repeat(np.arange(m), k)
+    cols = nbrs.ravel()
+    dots = np.abs(np.einsum("ij,ij->i", normals[rows], normals[cols]))
+    weights = np.maximum(1.0 - dots, _MIN_WEIGHT)
+    graph = coo_matrix((weights, (rows, cols)), shape=(m, m)).tocsr()
+    graph = graph.maximum(graph.T)
+    n_components, labels = connected_components(graph, directed=False)
+    mst = minimum_spanning_tree(graph).tocsr()
+    adjacency = (mst + mst.T).tolil().rows
+
+    oriented = normals.copy()
+    visited = np.zeros(m, dtype=bool)
+    for comp in range(n_components):
+        members = np.flatnonzero(labels == comp)
+        root = members[np.argmax(pts[members, 2])]
+        if oriented[root, 2] < 0:
+            oriented[root] = -oriented[root]
+        visited[root] = True
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b in adjacency[a]:
+                if visited[b]:
+                    continue
+                if oriented[a] @ oriented[b] < 0:
+                    oriented[b] = -oriented[b]
+                visited[b] = True
+                stack.append(b)
+    return oriented, n_components
+
+
+def random_signs(normals, seed):
+    signs = np.where(np.random.default_rng(seed).random(len(normals)) < 0.5, 1.0, -1.0)
+    return normals * signs[:, None]
 
 
 class TestEstimateNormalsPca:
@@ -97,6 +144,55 @@ class TestOrientNormals:
             orient_normals(PointCloud([[0, 0, 0], [1, 0, 0.0]]), [[0, 0, 1.0]])
 
 
+class TestOrientMatchesDepthFirstReference:
+    def _assert_same(self, points, normals):
+        cloud = PointCloud(points)
+        given = np.array(normals, dtype=np.float64)
+        oriented, n_components = orient_normals(cloud, given)
+        assert np.array_equal(given, normals)  # the caller's array is not flipped
+        expected, expected_components = dfs_orient(cloud, normals)
+        assert n_components == expected_components
+        assert np.array_equal(oriented, expected)
+        assert np.array_equal(np.signbit(oriented), np.signbit(expected))
+        return oriented, n_components
+
+    def test_plane_with_random_signs(self):
+        cloud = make_shape("plane", 100)
+        assert len(cloud) == 10_000
+        self._assert_same(cloud.points, random_signs(cloud.normals, 3))
+
+    def test_three_disjoint_cubes_with_random_signs(self):
+        cube = make_shape("cube", 8)
+        pts = np.vstack([cube.points + [10.0 * i, 0.0, 0.0] for i in range(3)])
+        normals = random_signs(np.vstack([cube.normals] * 3), 4)
+        _, n_components = self._assert_same(pts, normals)
+        assert n_components == 3
+
+    def test_sphere_with_noisy_random_normals(self):
+        # Non-axis-aligned normals: per-edge dots round, and near-perpendicular
+        # tree edges get their sign from the last bits of the dot product.
+        cloud = make_shape("sphere", 20)
+        rng = np.random.default_rng(5)
+        normals = cloud.normals + rng.normal(0.0, 0.8, size=cloud.normals.shape)
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        self._assert_same(cloud.points, normals)
+
+    def test_zero_dot_child_gets_plus_whatever_its_parent(self):
+        # Root r points down, so it and its child d get sign -1. c is exactly
+        # perpendicular to both, so it keeps its sign: a zero dot is not < 0.
+        pts = [[0.0, 0.0, 1.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]]
+        normals = [[0.0, 0.0, -1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]
+        oriented, _ = self._assert_same(pts, normals)
+        assert np.array_equal(oriented, [[0, 0, 1.0], [0, 0, 1.0], [1.0, 0, 0]])
+
+    def test_rounding_dot_pair(self):
+        # 0.6*0.8 - 0.8*0.6 is 0 when both products round and about -3e-17
+        # when the dot is fused; orient_normals must decide like `a @ b`.
+        pts = [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+        normals = [[0.6, 0.8, 0.0], [0.8, -0.6, 0.0]]
+        self._assert_same(pts, normals)
+
+
 class TestBilateralFilterNormals:
     def _perturbed(self, cloud, sigma, seed):
         rng = np.random.default_rng(seed)
@@ -141,6 +237,15 @@ class TestBilateralFilterNormals:
             ).mean()
 
         assert err(3) <= err(1)
+
+    def test_memory_layout_does_not_change_output(self):
+        cloud = make_shape("sphere", 12)
+        rng = np.random.default_rng(0)
+        noisy = cloud.normals + rng.normal(0.0, 0.3, cloud.normals.shape)
+        noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
+        c_out = bilateral_filter_normals(cloud, noisy, BilateralParams())
+        f_out = bilateral_filter_normals(cloud, np.asfortranarray(noisy), BilateralParams())
+        assert np.array_equal(f_out, c_out)
 
     def test_input_normals_not_mutated(self):
         cloud = make_shape("plane", 8)
