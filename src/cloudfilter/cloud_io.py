@@ -47,15 +47,12 @@ def _parse_table(source):
         return None
 
 
-def _read_xyz(path, fast=True):
-    """XYZ reader; fast=False runs the per-line parser alone (the tests'
-    reference for the np.loadtxt path)."""
-    if fast:
-        with open(path) as fh:
-            table = _parse_table(fh)
-        if table is not None and table.shape[1] in (3, 6):
-            normals = table[:, 3:] if table.shape[1] == 6 else None
-            return _finalize(table[:, :3], normals, path)
+def _read_xyz(path):
+    with open(path) as fh:
+        table = _parse_table(fh)
+    if table is not None and table.shape[1] in (3, 6):
+        normals = table[:, 3:] if table.shape[1] == 6 else None
+        return _finalize(table[:, :3], normals, path)
 
     points, normals = [], []
     width = None
@@ -83,9 +80,7 @@ def _read_xyz(path, fast=True):
     return _finalize(points, normals if normals else None, path)
 
 
-def _read_ply_ascii(path, fast=True):
-    """ASCII PLY reader; fast=False parses the vertex block line by line
-    only (the tests' reference for the np.loadtxt path)."""
+def _read_ply_ascii(path):
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "ply":
@@ -134,7 +129,7 @@ def _read_ply_ascii(path, fast=True):
     body = lines[body_start : body_start + vertex_count]
     if len(body) < vertex_count:
         raise CloudIOError(f"{path}: truncated vertex data")
-    table = _parse_table(body) if fast else None
+    table = _parse_table(body)
     if table is not None and table.shape[0] == vertex_count and table.shape[1] >= len(properties):
         normals = None if normal_cols is None else table[:, normal_cols]
         return _finalize(table[:, point_cols], normals, path)
