@@ -20,7 +20,6 @@ from .filtering import (
     data_energy,
     filter_cloud,
     filter_iteration,
-    repulsion_radius,
     resolve_support_radius,
     theta,
     update_point,
@@ -34,7 +33,7 @@ from .normals import (
 from .metrics import MetricReport, chamfer_distance, evaluate, mean_square_error
 from .synth import NoiseSpec, add_gaussian_noise, make_clustered_plane, make_shape
 from .cloud_io import read_cloud, write_cloud
-from .cli import RunConfig, run_pipeline
+from .pipeline import RunConfig, run_pipeline
 
 __version__ = "0.1.0"
 
@@ -65,7 +64,6 @@ __all__ = [
     "normalize_cloud",
     "orient_normals",
     "read_cloud",
-    "repulsion_radius",
     "resolve_support_radius",
     "run_pipeline",
     "theta",

@@ -1,162 +1,66 @@
-"""Command-line interface and the end-to-end filtering pipeline."""
+"""Command-line interface: argument parsing and one function per command."""
 
 import argparse
 import sys
-import time
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import cloud_io, metrics, synth
-from .core import PointCloud, normalize_cloud
-from .filtering import FilterParams, filter_cloud
-from .normals import BilateralParams, bilateral_filter_normals, estimate_normals_pca, orient_normals
-
-
-class PipelineError(RuntimeError):
-    def __init__(self, stage, message):
-        super().__init__(message)
-        self.stage = stage
-
-
-@dataclass
-class RunConfig:
-    input_path: str
-    output_path: str
-    format: str = "xyz"
-    filter_params: FilterParams = field(default_factory=FilterParams)
-    bilateral_params: BilateralParams = field(default_factory=BilateralParams)
-    normal_source: str = "pca"  # "pca" | "file"
-    pca_k: int = 12
-    gt_path: str | None = None
-    report_path: str | None = None
-    diagnostics_path: str | None = None
-    normalize: bool = True
-    mse_variant: str = "described"
-
-    def __post_init__(self):
-        if not self.input_path or not self.output_path:
-            raise ValueError("input and output paths required")
-        if self.normal_source not in ("pca", "file"):
-            raise ValueError("normal source must be 'pca' or 'file'")
-
-
-def _stage(name, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError(name, str(exc)) from exc
-
-
-def run_pipeline(config):
-    """Load, normalize, obtain normals, filter, inverse-transform, write.
-
-    Returns (filtered_cloud_in_input_frame, diagnostics, report_or_None).
-    """
-    started = time.perf_counter()
-    cloud = _stage("read", cloud_io.read_cloud, config.input_path, config.format)
-
-    if config.normalize:
-        cloud, transform = _stage("normalize", normalize_cloud, cloud)
-    else:
-        transform = None
-
-    if config.normal_source == "file":
-        if cloud.normals is None:
-            raise PipelineError("normals", "input file carries no normals")
-        raw_normals = cloud.normals
-    else:
-        raw_normals, _ = _stage("normals", estimate_normals_pca, cloud, config.pca_k)
-
-    oriented, _ = _stage("orient", orient_normals, cloud, raw_normals)
-    smoothed = _stage(
-        "bilateral", bilateral_filter_normals, cloud, oriented, config.bilateral_params
-    )
-    filtered, diagnostics = _stage(
-        "filter", filter_cloud, cloud, smoothed, config.filter_params
-    )
-
-    if transform is not None:
-        out_points = transform.invert(filtered.points)
-    else:
-        out_points = filtered.points
-    out_cloud = PointCloud(out_points, filtered.normals)
-    _stage("write", cloud_io.write_cloud, out_cloud, config.output_path, config.format)
-
-    diag_path = config.diagnostics_path
-    if diag_path is None:
-        diag_path = config.output_path + ".diagnostics.csv"
-    _stage("diagnostics", _write_diagnostics, diagnostics, diag_path)
-
-    report = None
-    if config.gt_path is not None:
-        gt = _stage("metrics", cloud_io.read_cloud, config.gt_path, config.format)
-        report = _stage(
-            "metrics",
-            metrics.evaluate,
-            gt.points,
-            out_cloud.points,
-            10,
-            config.mse_variant,
-        )
-        wall = time.perf_counter() - started
-        text = report.to_text() + f"wall_time_seconds={wall:.6g}\n"
-        if config.report_path:
-            _stage("report", _write_text, config.report_path, text)
-        else:
-            sys.stdout.write(text)
-    return out_cloud, diagnostics, report
-
-
-def _write_text(path, text):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-
-
-def _write_diagnostics(diagnostics, path):
-    lines = ["iteration,data_energy,mean_displacement,max_displacement,nn_distance_stddev"]
-    for i, d in enumerate(diagnostics, start=1):
-        lines.append(
-            f"{i},{d.data_energy:.12g},{d.mean_displacement:.12g},"
-            f"{d.max_displacement:.12g},{d.nn_distance_stddev:.12g}"
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+from .core import PointCloud
+from .filtering import FilterParams
+from .normals import BilateralParams
+from .pipeline import PipelineError, RunConfig, _write_text, run_pipeline, smoothed_normals
 
 
 def _parse_h(text):
-    if text.startswith("auto"):
-        mult = 4.0 if text in ("auto", "auto:") else float(text.split(":", 1)[1])
-        return "auto", mult
-    return "fixed", float(text)
+    """--h value: a fixed support radius, or "auto" / "auto:MULT" for MULT
+    (default 4) times the mean k-th-neighbor distance."""
+    mode, sep, mult = text.partition(":")
+    try:
+        if mode == "auto":
+            return "auto", float(mult) if mult else 4.0
+        if not sep:
+            return "fixed", float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f'expected a number, "auto" or "auto:MULT", got {text!r}')
 
 
-def _add_filter_flags(sub):
+def _add_normals_flags(sub):
     sub.add_argument("--input", required=True)
     sub.add_argument("--output", required=True)
     sub.add_argument("--format", choices=cloud_io.FORMATS, default="xyz")
-    sub.add_argument("--k", type=int, default=30)
-    sub.add_argument("--mu", type=float, default=0.3)
-    sub.add_argument("--iters", type=int, default=5)
-    sub.add_argument("--h", default="auto:4", help='fixed value or "auto:MULT"')
     sub.add_argument("--normals", choices=("file", "pca"), default="pca")
     sub.add_argument("--pca-k", type=int, default=12)
     sub.add_argument("--bilateral-sigma-s", type=float, default=None)
     sub.add_argument("--bilateral-sigma-r", type=float, default=0.3)
     sub.add_argument("--bilateral-iters", type=int, default=3)
     sub.add_argument("--bilateral-k", type=int, default=30)
+
+
+def _add_filter_flags(sub):
+    _add_normals_flags(sub)
+    sub.add_argument("--k", type=int, default=30)
+    sub.add_argument("--mu", type=float, default=0.3)
+    sub.add_argument("--iters", type=int, default=5)
+    sub.add_argument("--h", type=_parse_h, default="auto:4", help='fixed value or "auto:MULT"')
     sub.add_argument("--gt", default=None)
     sub.add_argument("--report", default=None)
     sub.add_argument("--diagnostics", default=None)
     sub.add_argument("--no-normalize", action="store_true")
-    sub.add_argument("--wj-variant", choices=("printed", "per-neighbor"), default="printed")
     sub.add_argument("--mse-variant", choices=("described", "printed"), default="described")
     sub.add_argument("--epsilon-r", type=float, default=1e-8)
 
 
+def _bilateral_params(args):
+    return BilateralParams(
+        sigma_s=args.bilateral_sigma_s,
+        sigma_r=args.bilateral_sigma_r,
+        iterations=args.bilateral_iters,
+        k=args.bilateral_k,
+    )
+
+
 def _config_from_args(args):
-    h_mode, h_value = _parse_h(args.h)
+    h_mode, h_value = args.h
     return RunConfig(
         input_path=args.input,
         output_path=args.output,
@@ -168,14 +72,8 @@ def _config_from_args(args):
             h_mode=h_mode,
             h_value=h_value,
             epsilon_r=args.epsilon_r,
-            wj_variant=args.wj_variant,
         ),
-        bilateral_params=BilateralParams(
-            sigma_s=args.bilateral_sigma_s,
-            sigma_r=args.bilateral_sigma_r,
-            iterations=args.bilateral_iters,
-            k=args.bilateral_k,
-        ),
+        bilateral_params=_bilateral_params(args),
         normal_source=args.normals,
         pca_k=args.pca_k,
         gt_path=args.gt,
@@ -193,20 +91,7 @@ def _cmd_filter(args):
 
 def _cmd_normals(args):
     cloud = cloud_io.read_cloud(args.input, args.format)
-    if args.normals == "file":
-        if cloud.normals is None:
-            raise PipelineError("normals", "input file carries no normals")
-        raw = cloud.normals
-    else:
-        raw, _ = estimate_normals_pca(cloud, args.pca_k)
-    oriented, _ = orient_normals(cloud, raw)
-    params = BilateralParams(
-        sigma_s=args.bilateral_sigma_s,
-        sigma_r=args.bilateral_sigma_r,
-        iterations=args.bilateral_iters,
-        k=args.bilateral_k,
-    )
-    smoothed = bilateral_filter_normals(cloud, oriented, params)
+    smoothed = smoothed_normals(cloud, args.normals, args.pca_k, _bilateral_params(args))
     cloud_io.write_cloud(PointCloud(cloud.points, smoothed), args.output, args.format)
     return 0
 
@@ -250,15 +135,7 @@ def build_parser():
     p_filter.set_defaults(fn=_cmd_filter)
 
     p_normals = subs.add_parser("normals", help="estimate/orient/smooth normals")
-    p_normals.add_argument("--input", required=True)
-    p_normals.add_argument("--output", required=True)
-    p_normals.add_argument("--format", choices=cloud_io.FORMATS, default="xyz")
-    p_normals.add_argument("--normals", choices=("file", "pca"), default="pca")
-    p_normals.add_argument("--pca-k", type=int, default=12)
-    p_normals.add_argument("--bilateral-sigma-s", type=float, default=None)
-    p_normals.add_argument("--bilateral-sigma-r", type=float, default=0.3)
-    p_normals.add_argument("--bilateral-iters", type=int, default=3)
-    p_normals.add_argument("--bilateral-k", type=int, default=30)
+    _add_normals_flags(p_normals)
     p_normals.set_defaults(fn=_cmd_normals)
 
     p_noise = subs.add_parser("noise", help="add seeded Gaussian noise")

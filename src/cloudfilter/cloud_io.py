@@ -1,10 +1,11 @@
 """Point cloud file ingest and emit: XYZ text and ASCII PLY.
 
-Reading parses the numeric body in one np.loadtxt call. The per-line parser
-runs only when that parse fails or returns a shape the format forbids, so an
-accepted file yields the same float64 values either way and a rejected file
-gets the line parser's `file:line` message. Writing formats every value as
-%.9g, a block of rows at a time.
+Reading parses the numeric body in one np.loadtxt call; an XYZ body that
+call rejects is parsed once more without its whole-line "#" comments. The
+per-line parser runs only when that parse fails or returns a shape the format
+forbids, so an accepted file yields the same float64 values either way and a
+rejected file gets the line parser's `file:line` message. Writing formats
+every value as %.9g, a block of rows at a time.
 """
 
 import warnings
@@ -50,6 +51,11 @@ def _parse_table(source):
 def _read_xyz(path):
     with open(path) as fh:
         table = _parse_table(fh)
+        if table is None:
+            # Parse again without whole-line comments, by the line parser's
+            # rule; a line with an inline "#" stays and still fails.
+            fh.seek(0)
+            table = _parse_table([line for line in fh if not line.lstrip().startswith("#")])
     if table is not None and table.shape[1] in (3, 6):
         normals = table[:, 3:] if table.shape[1] == 6 else None
         return _finalize(table[:, :3], normals, path)

@@ -4,14 +4,17 @@ Each iteration moves every point toward the local tangent planes implied by
 its own normal and its neighbors' normals, while a repulsion force spreads
 neighboring points apart within those tangent planes. Updates are Jacobi:
 all points move based on the same pre-iteration snapshot.
+
+The repulsion step is the beta-weighted mean of the tangential offsets,
+mu * sum_j(beta_j t_j) / sum_j(beta_j). A weight w that is the same for every
+neighbor of the patch, such as the printed w = 1 + sum_j theta(|p_i - p_j|),
+cancels from that ratio, so none is applied.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import PointCloud, build_neighbor_index
-
-WJ_VARIANTS = ("printed", "per-neighbor")
 
 
 @dataclass
@@ -20,8 +23,6 @@ class FilterParams:
 
     h_mode is either "auto" (support radius = h_value x mean k-th-NN
     distance, recomputed each iteration) or "fixed" (h_value used as is).
-    wj_variant selects between the patch-constant repulsion weight
-    ("printed", default) and a per-neighbor weight 1 + theta(|p_i - p_j|).
     """
 
     k: int = 30
@@ -30,7 +31,6 @@ class FilterParams:
     h_mode: str = "auto"
     h_value: float = 4.0
     epsilon_r: float = 1e-8
-    wj_variant: str = "printed"
 
     def __post_init__(self):
         if self.k < 1:
@@ -45,8 +45,6 @@ class FilterParams:
             raise ValueError("h_value must be positive")
         if not self.epsilon_r > 0:
             raise ValueError("epsilon_r must be positive")
-        if self.wj_variant not in WJ_VARIANTS:
-            raise ValueError("unknown wj_variant")
 
 
 @dataclass
@@ -63,13 +61,6 @@ def theta(r, h):
     """Smoothly decaying weight exp(-r^2 / (h/2)^2)."""
     r = np.asarray(r, dtype=np.float64)
     return np.exp(-(r**2) / (h / 2.0) ** 2)
-
-
-def repulsion_radius(p_i, p_j, n_j):
-    """Norm of the component of p_i - p_j orthogonal to the unit normal n_j."""
-    e = np.asarray(p_i, dtype=np.float64) - np.asarray(p_j, dtype=np.float64)
-    n = np.asarray(n_j, dtype=np.float64)
-    return float(np.linalg.norm(e - (e @ n) * n))
 
 
 def beta(r, h, epsilon_r):
@@ -111,8 +102,9 @@ def update_point(i, points, normals, patch, params, h):
     """Updated position of point i from its patch (reference scalar path).
 
     Data step: 1/(3|patch|) times the sum of p_j - p_i projected onto both
-    endpoint normals. Repulsion step: mu times the normalized weighted sum
-    of the components of p_i - p_j orthogonal to n_j.
+    endpoint normals. Repulsion step: mu times the beta-weighted mean of the
+    components t_j of p_i - p_j orthogonal to n_j; a patch-constant weight
+    on top of beta would cancel (see the module docstring).
     """
     patch = np.asarray(patch, dtype=np.intp)
     p_i = points[i]
@@ -123,25 +115,18 @@ def update_point(i, points, normals, patch, params, h):
     gamma = 1.0 / (3.0 * len(patch))
     proj_j = np.einsum("kj,kj->k", d, n_j)
     proj_i = d @ n_i
-    data_step = gamma * (proj_j[:, None] * n_j + proj_i[:, None] * n_i).sum(axis=0)
+    along_j = proj_j[:, None] * n_j
+    data_step = gamma * (along_j + proj_i[:, None] * n_i).sum(axis=0)
 
     if params.mu == 0.0:
         return p_i + data_step
 
-    e = -d  # p_i - p_j
-    tangential = e - np.einsum("kj,kj->k", e, n_j)[:, None] * n_j
-    r = np.linalg.norm(tangential, axis=1)
-    b = beta(r, h, params.epsilon_r)
-    th = theta(np.linalg.norm(e, axis=1), h)
-    if params.wj_variant == "printed":
-        w = 1.0 + th.sum()  # constant over the patch
-        wb = w * b
-    else:
-        wb = (1.0 + th) * b
-    denom = wb.sum()
+    tangential = along_j - d  # p_i - p_j minus its n_j component
+    b = beta(np.linalg.norm(tangential, axis=1), h, params.epsilon_r)
+    denom = b.sum()
     if denom <= 0:  # all theta weights underflowed; no effective repulsion
         return p_i + data_step
-    repulsion_step = params.mu * (wb[:, None] * tangential).sum(axis=0) / denom
+    repulsion_step = params.mu * (b[:, None] * tangential).sum(axis=0) / denom
     return p_i + data_step + repulsion_step
 
 
@@ -155,28 +140,20 @@ def _update_all(points, normals, nbrs, params, h):
     gamma = 1.0 / (3.0 * k)
     proj_j = np.einsum("ikj,ikj->ik", d, n_j)
     proj_i = np.einsum("ikj,ikj->ik", d, n_i)
-    data_step = gamma * (
-        (proj_j[:, :, None] * n_j).sum(axis=1) + (proj_i[:, :, None] * n_i).sum(axis=1)
-    )
+    along_j = proj_j[:, :, None] * n_j
+    data_step = gamma * (along_j.sum(axis=1) + (proj_i[:, :, None] * n_i).sum(axis=1))
     if params.mu == 0.0:
         return points + data_step
 
-    e = -d
-    tangential = e - np.einsum("ikj,ikj->ik", e, n_j)[:, :, None] * n_j
-    r = np.linalg.norm(tangential, axis=2)
-    b = beta(r, h, params.epsilon_r)
-    th = theta(np.linalg.norm(e, axis=2), h)
-    if params.wj_variant == "printed":
-        wb = (1.0 + th.sum(axis=1))[:, None] * b
-    else:
-        wb = (1.0 + th) * b
-    denom = wb.sum(axis=1)
-    safe = denom > 0  # theta can underflow to 0 for isolated points
-    repulsion_step = np.zeros_like(points)
-    repulsion_step[safe] = (
-        params.mu
-        * (wb[safe, :, None] * tangential[safe]).sum(axis=1)
-        / denom[safe, None]
+    tangential = along_j - d  # p_i - p_j minus its n_j component
+    b = beta(np.linalg.norm(tangential, axis=2), h, params.epsilon_r)
+    denom = b.sum(axis=1)[:, None]
+    # theta can underflow to 0 for isolated points: no repulsion there
+    repulsion_step = np.divide(
+        params.mu * (b[:, :, None] * tangential).sum(axis=1),
+        denom,
+        out=np.zeros_like(points),
+        where=denom > 0,
     )
     return points + data_step + repulsion_step
 

@@ -9,8 +9,8 @@ from cloudfilter import (
     data_energy,
     filter_cloud,
     filter_iteration,
+    make_clustered_plane,
     make_shape,
-    repulsion_radius,
     resolve_support_radius,
     theta,
     update_point,
@@ -40,17 +40,6 @@ class TestKernels:
         r = np.linspace(0.0, 3.0, 50)
         vals = theta(r, 1.0)
         assert np.all(np.diff(vals) < 0)
-
-    def test_repulsion_radius_in_plane(self):
-        # offset orthogonal to the normal: radius is the full distance
-        assert repulsion_radius([1, 0, 0], [0, 0, 0], [0, 0, 1]) == pytest.approx(1.0)
-
-    def test_repulsion_radius_along_normal_is_zero(self):
-        assert repulsion_radius([0, 0, 2], [0, 0, 0], [0, 0, 1]) == pytest.approx(0.0)
-
-    def test_repulsion_radius_oblique(self):
-        # (1, 0, 1) relative to normal z: tangential part has norm 1
-        assert repulsion_radius([1, 0, 1], [0, 0, 0], [0, 0, 1]) == pytest.approx(1.0)
 
     def test_beta_clamps_small_radius(self):
         eps = 1e-8
@@ -133,14 +122,14 @@ class TestUpdatePoint:
         new = update_point(0, points, normals, [1], params, h=1e-3)
         assert np.all(np.isfinite(new))
         assert np.allclose(new, points[0])  # coplanar, so data step is zero too
+        assert np.array_equal(_update_all(points, normals, np.array([[1], [0]]), params, 1e-3), points)
 
-    @pytest.mark.parametrize("variant", ["printed", "per-neighbor"])
-    def test_vectorized_matches_scalar(self, variant):
+    def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(31)
         pts = rng.random((80, 3))
         normals = rng.normal(size=(80, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        params = FilterParams(k=8, mu=0.3, wj_variant=variant)
+        params = FilterParams(k=8, mu=0.3)
         index = build_neighbor_index(pts)
         nbrs = index.k_nearest_all(8)
         h = resolve_support_radius(params, pts)
@@ -148,6 +137,53 @@ class TestUpdatePoint:
         for i in range(80):
             slow = update_point(i, pts, normals, nbrs[i], params, h)
             assert np.allclose(fast[i], slow, rtol=1e-12, atol=1e-14)
+
+
+def brute_force_weighted_update(points, normals, nbrs, mu, h, epsilon_r):
+    """Jacobi update with the printed repulsion weight w = 1 + sum_j
+    theta(|p_i - p_j|) still applied, one point and one neighbor at a time."""
+    def theta_(r):
+        return np.exp(-(r**2) / (h / 2.0) ** 2)
+
+    out = np.empty_like(points)
+    for i, patch in enumerate(nbrs):
+        p_i, n_i = points[i], normals[i]
+        data = np.zeros(3)
+        w = 1.0
+        for j in patch:
+            w += theta_(np.linalg.norm(p_i - points[j]))
+        weighted = np.zeros(3)
+        total = 0.0
+        for j in patch:
+            d = points[j] - p_i
+            n_j = normals[j]
+            data += (d @ n_j) * n_j + (d @ n_i) * n_i
+            t = -d + (d @ n_j) * n_j
+            r = max(np.linalg.norm(t), epsilon_r)
+            wb = w * theta_(r) / r
+            weighted += wb * t
+            total += wb
+        out[i] = p_i + data / (3.0 * len(patch)) + mu * weighted / total
+    return out
+
+
+class TestRepulsionWeightCancels:
+    @pytest.mark.parametrize("shape", ["random", "clustered-plane"])
+    def test_patch_constant_weight_cancels(self, shape):
+        if shape == "random":
+            rng = np.random.default_rng(5)
+            pts = rng.random((150, 3))
+            normals = rng.normal(size=(150, 3))
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        else:
+            cloud = make_clustered_plane(5, 30, seed=3)
+            pts, normals = cloud.points, cloud.normals
+        params = FilterParams(k=10, mu=0.3)
+        nbrs = build_neighbor_index(pts).k_nearest_all(params.k)
+        h = resolve_support_radius(params, pts)
+        fast = _update_all(pts, normals, nbrs, params, h)
+        slow = brute_force_weighted_update(pts, normals, nbrs, params.mu, h, params.epsilon_r)
+        np.testing.assert_allclose(fast, slow, rtol=1e-14)
 
 
 class TestFilterCloud:
@@ -237,5 +273,3 @@ class TestFilterParams:
             FilterParams(h_value=0.0)
         with pytest.raises(ValueError):
             FilterParams(epsilon_r=0.0)
-        with pytest.raises(ValueError):
-            FilterParams(wj_variant="other")

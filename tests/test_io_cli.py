@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cloudfilter
 from cloudfilter import (
     PointCloud,
     RunConfig,
@@ -13,6 +19,8 @@ from cloudfilter import (
 from cloudfilter.cli import PipelineError, main
 from cloudfilter.cloud_io import CloudIOError
 from cloudfilter.filtering import FilterParams
+from cloudfilter.normals import BilateralParams
+from cloudfilter.pipeline import smoothed_normals
 
 
 class TestXyzIO:
@@ -158,6 +166,10 @@ PARITY_CASES = [
     ("xyz-comment-line", "xyz", "# header\n1 2 3\n"),
     ("xyz-indented-comment", "xyz", "1 2 3\n  # note\n4 5 6\n"),
     ("xyz-inline-hash", "xyz", "1 2 3 # note\n"),
+    ("xyz-header-comments-6", "xyz", "# x y z nx ny nz\n#1 2 3\n0 0 0 0 0 2\n1 1 1 0 1 0\n"),
+    ("xyz-mid-file-comments", "xyz", "1 2 3\n\t# a\n\xa0#b\n4 5 6\n# end"),
+    ("xyz-header-then-inline-hash", "xyz", "# header\n1 2 3\n4 5 6 # note\n"),
+    ("xyz-header-then-four-fields", "xyz", "# header\n1 2 3\n4 5 6 7\n"),
     ("xyz-inline-hash-6", "xyz", "1 2 3 #a b\n"),
     ("xyz-blank-lines", "xyz", "\n1 2 3\n\n4 5 6\n\n"),
     ("xyz-whitespace-lines", "xyz", "1 2 3\n   \n\t\n \x0c\xa0\n4 5 6\n"),
@@ -254,6 +266,27 @@ class TestFastReadParity:
         read_cloud(path, format)
         assert len(tables) == 1
         assert tables[0].shape == (len(cloud), 6 if with_normals else 3)
+
+
+    @pytest.mark.parametrize("where", ["header", "mid-file"])
+    def test_commented_xyz_takes_the_fast_path(self, tmp_path, monkeypatch, where):
+        cloud = make_shape("cube", 6)
+        path = tmp_path / "c.xyz"
+        write_cloud(cloud, path)
+        rows = path.read_text().splitlines(keepends=True)
+        at = 0 if where == "header" else len(rows) // 2
+        path.write_text("".join(rows[:at] + ["# x y z nx ny nz\n", "  # note\n"] + rows[at:]))
+        tables = []
+
+        def recording_parse(source):
+            tables.append(parse(source))
+            return tables[-1]
+
+        parse = cloud_io._parse_table
+        monkeypatch.setattr(cloud_io, "_parse_table", recording_parse)
+        back = read_cloud(path)
+        assert tables[-1].shape == (len(cloud), 6)
+        assert np.allclose(back.points, cloud.points, atol=1e-8)
 
 
 class TestPlyHeaderErrors:
@@ -426,6 +459,32 @@ class TestCli:
         out = read_cloud(dst)
         assert np.all(np.abs(out.normals[:, 2]) > 0.99)
 
+    def test_normals_subcommand_matches_smoothed_normals(self, tmp_path):
+        src = tmp_path / "s.xyz"
+        dst = tmp_path / "n.xyz"
+        want = tmp_path / "want.xyz"
+        clean = make_shape("sphere", 6)
+        rng = np.random.default_rng(3)
+        write_cloud(PointCloud(clean.points + rng.normal(0.0, 0.01, clean.points.shape)), src)
+        assert main([
+            "normals", "--input", str(src), "--output", str(dst), "--pca-k", "10",
+            "--bilateral-sigma-r", "0.4", "--bilateral-iters", "2", "--bilateral-k", "12",
+        ]) == 0
+        cloud = read_cloud(src)
+        params = BilateralParams(sigma_r=0.4, iterations=2, k=12)
+        write_cloud(PointCloud(cloud.points, smoothed_normals(cloud, "pca", 10, params)), want)
+        assert dst.read_bytes() == want.read_bytes()
+
+    def test_normals_subcommand_file_normals_absent(self, tmp_path, capsys):
+        src = tmp_path / "s.xyz"
+        write_cloud(PointCloud(make_shape("plane", 6).points), src)
+        code = main([
+            "normals", "--input", str(src), "--output", str(tmp_path / "n.xyz"),
+            "--normals", "file",
+        ])
+        assert code == 1
+        assert "error [normals]: input file carries no normals" in capsys.readouterr().err
+
     def test_error_reports_stage_and_exit_code(self, tmp_path, capsys):
         code = main([
             "filter", "--input", str(tmp_path / "missing.xyz"),
@@ -442,3 +501,27 @@ class TestCli:
                 "filter", "--input", str(clean), "--output", str(tmp_path / "o.xyz"),
                 "--normals", "file", "--k", "8", "--iters", "1", "--h", h,
             ]) == 0
+
+    @pytest.mark.parametrize("h", ["autox", "auto:x", "abc"])
+    def test_malformed_h_rejected_by_argparse(self, tmp_path, capsys, h):
+        clean = tmp_path / "c.xyz"
+        write_cloud(make_shape("plane", 8), clean)
+        with pytest.raises(SystemExit) as exit_:
+            main([
+                "filter", "--input", str(clean), "--output", str(tmp_path / "o.xyz"),
+                "--normals", "file", "--k", "8", "--iters", "1", "--h", h,
+            ])
+        assert exit_.value.code == 2
+        assert "argument --h: expected a number" in capsys.readouterr().err
+        assert not (tmp_path / "o.xyz").exists()
+
+    def test_module_entry_point_runs_without_warning(self):
+        src = str(Path(cloudfilter.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "cloudfilter.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: cloudfilter" in proc.stdout
