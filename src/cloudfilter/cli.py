@@ -4,10 +4,17 @@ import argparse
 import sys
 
 from . import cloud_io, metrics, synth
-from .core import PointCloud
+from .core import PointCloud, normalize_cloud
 from .filtering import FilterParams
 from .normals import BilateralParams
-from .pipeline import PipelineError, RunConfig, _write_text, run_pipeline, smoothed_normals
+from .pipeline import (
+    PipelineError,
+    RunConfig,
+    _stage,
+    _write_text,
+    run_pipeline,
+    smoothed_normals,
+)
 
 
 def _parse_h(text):
@@ -91,7 +98,11 @@ def _cmd_filter(args):
 
 def _cmd_normals(args):
     cloud = cloud_io.read_cloud(args.input, args.format)
-    smoothed = smoothed_normals(cloud, args.normals, args.pca_k, _bilateral_params(args))
+    # Smooth in the frame `filter` uses, so --bilateral-sigma-s is the same
+    # length in both commands. Normals do not change under translation and
+    # uniform scaling, so they go out with the points as read.
+    normalized, _ = _stage("normalize", normalize_cloud, cloud)
+    smoothed = smoothed_normals(normalized, args.normals, args.pca_k, _bilateral_params(args))
     cloud_io.write_cloud(PointCloud(cloud.points, smoothed), args.output, args.format)
     return 0
 

@@ -1,10 +1,48 @@
-"""Core geometric types: point clouds, exact k-NN index, normalization."""
+"""Core geometric types: point clouds, exact k-NN index, normalization, and
+the row-block runner the per-point kernels share."""
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from dataclasses import dataclass
 from scipy.spatial import cKDTree
 
 UNIT_NORM_TOL = 1e-6
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+# Threads for whole-cloud KD-tree queries and row-block kernels: every CPU
+# the process may run on, so taskset or a cpuset bounds it. Results do not
+# depend on it.
+WORKERS = _usable_cpus()
+
+# Rows per block of the (M, k, 3) temporaries, which bounds their memory to
+# BLOCK_ROWS rows per worker. Results do not depend on it.
+BLOCK_ROWS = 1024
+
+
+def for_row_blocks(fn, m):
+    """Call fn(rows) for each slice `rows` of BLOCK_ROWS consecutive rows of
+    range(m), on up to WORKERS threads.
+
+    Each call must write only its own rows of a preallocated output, so the
+    result is the same for any block size and thread count. The pool lives
+    for this call only; with one block or one worker the calls run inline.
+    """
+    blocks = [slice(s, min(s + BLOCK_ROWS, m)) for s in range(0, m, BLOCK_ROWS)]
+    if WORKERS == 1 or len(blocks) <= 1:
+        for rows in blocks:
+            fn(rows)
+        return
+    with ThreadPoolExecutor(min(WORKERS, len(blocks))) as pool:
+        list(pool.map(fn, blocks))  # re-raises the first block's exception
 
 
 def as_points(points):
@@ -131,7 +169,7 @@ class NeighborIndex:
         if k < 1 or k >= m:
             raise ValueError("k exceeds cloud size")
         kq = min(k + 2, m)
-        dist, idx = self._tree.query(self._points, k=kq)
+        dist, idx = self._tree.query(self._points, k=kq, workers=WORKERS)
         # Rows whose distances strictly rise are already in (distance, index)
         # order with no tie at the k-th place. Only one point sits at distance
         # 0 there, so column 0 is self.
@@ -156,12 +194,12 @@ class NeighborIndex:
 
     def nearest_distances(self):
         """Distance from every point to its nearest other point."""
-        dist, _ = self._tree.query(self._points, k=2)
+        dist, _ = self._tree.query(self._points, k=2, workers=WORKERS)
         return dist[:, 1]
 
     def kth_distances(self, k):
         """Distance from every point to its k-th nearest other point."""
-        dist, _ = self._tree.query(self._points, k=k + 1)
+        dist, _ = self._tree.query(self._points, k=k + 1, workers=WORKERS)
         return dist[:, k]
 
 

@@ -14,7 +14,7 @@ cancels from that ratio, so none is applied.
 import numpy as np
 from dataclasses import dataclass
 
-from .core import PointCloud, build_neighbor_index
+from .core import PointCloud, build_neighbor_index, for_row_blocks
 
 
 @dataclass
@@ -92,9 +92,16 @@ def data_energy(cloud, normals, index, k):
     pts = index.points
     normals = np.ascontiguousarray(normals, dtype=np.float64)
     nbrs = index.k_nearest_all(k)
-    diff = pts[:, None, :] - pts[nbrs]  # p_i - p_j
-    proj_j = np.einsum("ikj,ikj->ik", diff, normals[nbrs])
-    proj_i = np.einsum("ikj,ij->ik", diff, normals)
+    proj_j = np.empty(nbrs.shape)
+    proj_i = np.empty(nbrs.shape)
+
+    def block(rows):
+        patch = nbrs[rows]
+        diff = pts[rows, None, :] - pts[patch]  # p_i - p_j
+        proj_j[rows] = np.einsum("ikj,ikj->ik", diff, normals[patch])
+        proj_i[rows] = np.einsum("ikj,ij->ik", diff, normals[rows])
+
+    for_row_blocks(block, len(pts))
     return float(np.sum(proj_j**2) + np.sum(proj_i**2))
 
 
@@ -131,31 +138,41 @@ def update_point(i, points, normals, patch, params, h):
 
 
 def _update_all(points, normals, nbrs, params, h):
-    """Vectorized Jacobi update of all positions (matches update_point)."""
-    d = points[nbrs] - points[:, None, :]  # p_j - p_i
-    n_j = normals[nbrs]
-    n_i = normals[:, None, :]
-
+    """Vectorized Jacobi update of all positions (matches update_point),
+    computed in row blocks."""
+    out = np.empty_like(points)
     k = nbrs.shape[1]
     gamma = 1.0 / (3.0 * k)
-    proj_j = np.einsum("ikj,ikj->ik", d, n_j)
-    proj_i = np.einsum("ikj,ikj->ik", d, n_i)
-    along_j = proj_j[:, :, None] * n_j
-    data_step = gamma * (along_j.sum(axis=1) + (proj_i[:, :, None] * n_i).sum(axis=1))
-    if params.mu == 0.0:
-        return points + data_step
 
-    tangential = along_j - d  # p_i - p_j minus its n_j component
-    b = beta(np.linalg.norm(tangential, axis=2), h, params.epsilon_r)
-    denom = b.sum(axis=1)[:, None]
-    # theta can underflow to 0 for isolated points: no repulsion there
-    repulsion_step = np.divide(
-        params.mu * (b[:, :, None] * tangential).sum(axis=1),
-        denom,
-        out=np.zeros_like(points),
-        where=denom > 0,
-    )
-    return points + data_step + repulsion_step
+    def block(rows):
+        p = points[rows]
+        patch = nbrs[rows]
+        d = points[patch] - p[:, None, :]  # p_j - p_i
+        n_j = normals[patch]
+        n_i = normals[rows, None, :]
+
+        proj_j = np.einsum("ikj,ikj->ik", d, n_j)
+        proj_i = np.einsum("ikj,ikj->ik", d, n_i)
+        along_j = proj_j[:, :, None] * n_j
+        data_step = gamma * (along_j.sum(axis=1) + (proj_i[:, :, None] * n_i).sum(axis=1))
+        if params.mu == 0.0:
+            out[rows] = p + data_step
+            return
+
+        tangential = along_j - d  # p_i - p_j minus its n_j component
+        b = beta(np.linalg.norm(tangential, axis=2), h, params.epsilon_r)
+        denom = b.sum(axis=1)[:, None]
+        # theta can underflow to 0 for isolated points: no repulsion there
+        repulsion_step = np.divide(
+            params.mu * (b[:, :, None] * tangential).sum(axis=1),
+            denom,
+            out=np.zeros_like(p),
+            where=denom > 0,
+        )
+        out[rows] = p + data_step + repulsion_step
+
+    for_row_blocks(block, len(points))
+    return out
 
 
 def filter_iteration(cloud, normals, params):

@@ -4,6 +4,7 @@ import numpy as np
 from dataclasses import dataclass
 from scipy.spatial import cKDTree
 
+from . import core
 from .core import as_points
 
 MSE_VARIANTS = ("described", "printed")
@@ -58,8 +59,8 @@ def chamfer_distance(s1, s2):
     b = as_points(s2)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty point set")
-    d_ab, _ = cKDTree(b).query(a)
-    d_ba, _ = cKDTree(a).query(b)
+    d_ab, _ = cKDTree(b).query(a, workers=core.WORKERS)
+    d_ba, _ = cKDTree(a).query(b, workers=core.WORKERS)
     return _chamfer(d_ab, d_ba)
 
 
@@ -74,7 +75,7 @@ def mean_square_error(s1, s2, m=10, variant="described"):
     a = as_points(s1)
     b = as_points(s2)
     _check_mse_args(a, b, m, variant)
-    dist, _ = cKDTree(a).query(b, k=m)
+    dist, _ = cKDTree(a).query(b, k=m, workers=core.WORKERS)
     return _mse(dist.reshape(len(b), m), a, b, m, variant)
 
 
@@ -90,8 +91,8 @@ def evaluate(ground_truth, predicted, m=10, variant="described"):
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty point set")
     _check_mse_args(a, b, m, variant)
-    d_ab, _ = cKDTree(b).query(a)
-    dist, _ = cKDTree(a).query(b, k=m)
+    d_ab, _ = cKDTree(b).query(a, workers=core.WORKERS)
+    dist, _ = cKDTree(a).query(b, k=m, workers=core.WORKERS)
     dist = dist.reshape(len(b), m)
     return MetricReport(
         chamfer=_chamfer(d_ab, dist[:, 0]),

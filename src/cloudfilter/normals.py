@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import (
     minimum_spanning_tree,
 )
 
-from .core import PointCloud, build_neighbor_index
+from .core import PointCloud, build_neighbor_index, for_row_blocks
 
 # k-NN graph connectivity used for sign propagation
 ORIENT_GRAPH_K = 8
@@ -72,10 +72,16 @@ def estimate_normals_pca(cloud, k):
         raise ValueError("need at least k+1 >= 4 points")
     index = build_neighbor_index(pts)
     nbrs = index.k_nearest_all(k)
-    patches = np.concatenate([pts[:, None, :], pts[nbrs]], axis=1)  # (M, k+1, 3)
-    centered = patches - patches.mean(axis=1, keepdims=True)
-    cov = np.einsum("ipa,ipb->iab", centered, centered) / (k + 1)
-    w, v = np.linalg.eigh(cov)  # ascending eigenvalues
+    w = np.empty((m, 3))
+    v = np.empty((m, 3, 3))
+
+    def block(rows):
+        patches = np.concatenate([pts[rows, None, :], pts[nbrs[rows]]], axis=1)  # (b, k+1, 3)
+        centered = patches - patches.mean(axis=1, keepdims=True)
+        cov = np.einsum("ipa,ipb->iab", centered, centered) / (k + 1)
+        w[rows], v[rows] = np.linalg.eigh(cov)  # ascending eigenvalues
+
+    for_row_blocks(block, m)
     normals = v[:, :, 0].copy()
     gap_tol = _DEGENERATE_GAP * np.maximum(w[:, 2], 1e-300)
     degenerate = np.flatnonzero(w[:, 1] - w[:, 0] <= gap_tol).tolist()
@@ -149,6 +155,9 @@ def bilateral_filter_normals(cloud, normals, params):
     Each pass replaces every normal by the renormalized neighborhood sum
     weighted by exp(-d^2/sigma_s^2) * exp(-(1 - n_i.n_j)^2/sigma_r^2).
     Passes are Jacobi-style: each reads only the previous pass's normals.
+
+    Raises ValueError when the automatic sigma_s is 0 (every point has k
+    coincident others, as in an all-coincident cloud).
     """
     pts = cloud.points
     normals = np.array(normals, dtype=np.float64, order="C")
@@ -161,20 +170,36 @@ def bilateral_filter_normals(cloud, normals, params):
     sigma_s = params.sigma_s
     if sigma_s is None:
         sigma_s = 2.0 * float(index.kth_distances(k).mean())
+        if not sigma_s > 0:  # every point has k coincident others
+            raise ValueError("degenerate bilateral scale")
 
-    d2 = np.sum((pts[nbrs] - pts[:, None, :]) ** 2, axis=2)
-    ws = np.exp(-d2 / sigma_s**2)
-    current = normals
-    for _ in range(params.iterations):
-        dots = np.einsum("ikj,ij->ik", current[nbrs], current)
+    ws = np.empty(nbrs.shape)
+
+    def spatial(rows):
+        d2 = np.sum((pts[nbrs[rows]] - pts[rows, None, :]) ** 2, axis=2)
+        ws[rows] = np.exp(-d2 / sigma_s**2)
+
+    for_row_blocks(spatial, m)
+
+    def smooth(rows):
+        n_j = current[nbrs[rows]]
+        n_i = current[rows]
+        dots = np.einsum("ikj,ij->ik", n_j, n_i)
         wr = np.exp(-((1.0 - dots) ** 2) / params.sigma_r**2)
-        weights = ws * wr
-        summed = np.einsum("ik,ikj->ij", weights, current[nbrs])
+        weights = ws[rows] * wr
+        summed = np.einsum("ik,ikj->ij", weights, n_j)
         norms = np.linalg.norm(summed, axis=1)
         total = weights.sum(axis=1)
         keep = (total < 1e-12) | (norms < 1e-12)
         norms[keep] = 1.0
-        smoothed = summed / norms[:, None]
-        smoothed[keep] = current[keep]
+        out = summed / norms[:, None]
+        out[keep] = n_i[keep]
+        smoothed[rows] = out
+
+    current = normals
+    for _ in range(params.iterations):
+        # a fresh output per pass: every block reads only the previous pass
+        smoothed = np.empty_like(current)
+        for_row_blocks(smooth, m)
         current = smoothed
     return current

@@ -5,6 +5,7 @@ from cloudfilter import (
     CloudTransform,
     PointCloud,
     build_neighbor_index,
+    core,
     normalize_cloud,
 )
 
@@ -27,14 +28,16 @@ def permuted_grid(n, seed):
 
 class ReversedTieTree:
     """KD-tree stand-in that breaks distance ties by higher index, the
-    opposite of the tie rule, and records the k of every query."""
+    opposite of the tie rule, and records the k and workers of every query."""
 
     def __init__(self, points):
         self._points = np.asarray(points)
         self.ks = []
+        self.workers = []
 
-    def query(self, x, k):
+    def query(self, x, k, workers=1):
         self.ks.append(k)
+        self.workers.append(workers)
         x = np.asarray(x)
         rows = np.atleast_2d(x)
         d = np.linalg.norm(self._points[None, :, :] - rows[:, None, :], axis=2)
@@ -143,6 +146,19 @@ class TestNeighborIndex:
         all_nbrs = neighbor_index(pts, reversed_ties).k_nearest_all(k)
         for i in range(len(pts)):
             assert list(all_nbrs[i]) == list(brute_force_knn(pts, i, k))
+
+    def test_whole_cloud_queries_use_every_worker(self, monkeypatch):
+        monkeypatch.setattr(core, "WORKERS", 3)
+        index = neighbor_index(permuted_grid(12, seed=3), reversed_ties=True)
+        tree = index._tree
+        index.k_nearest_all(6)
+        # the whole-cloud query, then single-point tie fallbacks
+        assert tree.workers[0] == 3
+        assert len(tree.workers) > 1 and set(tree.workers[1:]) == {1}
+        tree.workers.clear()
+        index.kth_distances(6)
+        index.nearest_distances()
+        assert tree.workers == [3, 3]
 
     def test_coincident_points_tie_broken_by_index(self):
         pts = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0.0]])

@@ -12,6 +12,7 @@ from cloudfilter import (
     RunConfig,
     cloud_io,
     make_shape,
+    normalize_cloud,
     read_cloud,
     run_pipeline,
     write_cloud,
@@ -472,8 +473,48 @@ class TestCli:
         ]) == 0
         cloud = read_cloud(src)
         params = BilateralParams(sigma_r=0.4, iterations=2, k=12)
-        write_cloud(PointCloud(cloud.points, smoothed_normals(cloud, "pca", 10, params)), want)
+        normalized, _ = normalize_cloud(cloud)
+        smoothed = smoothed_normals(normalized, "pca", 10, params)
+        write_cloud(PointCloud(cloud.points, smoothed), want)
         assert dst.read_bytes() == want.read_bytes()
+
+    def test_normals_subcommand_sigma_s_in_normalized_frame(self, tmp_path):
+        # --bilateral-sigma-s is a length in the normalized frame, as in
+        # `filter`; smoothing the cloud as read differed by up to 30.8 deg
+        src = tmp_path / "s.xyz"
+        dst = tmp_path / "n.xyz"
+        want = tmp_path / "want.xyz"
+        clean = make_shape("cube", 8)
+        rng = np.random.default_rng(5)
+        noisy = clean.points + rng.normal(0.0, 0.005, clean.points.shape)
+        write_cloud(PointCloud(100.0 * noisy), src)
+        assert main([
+            "normals", "--input", str(src), "--output", str(dst),
+            "--bilateral-sigma-s", "0.05",
+        ]) == 0
+        cloud = read_cloud(src)
+        normalized, _ = normalize_cloud(cloud)
+        smoothed = smoothed_normals(normalized, "pca", 12, BilateralParams(sigma_s=0.05))
+        write_cloud(PointCloud(cloud.points, smoothed), want)
+        assert dst.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("command", ["normals", "filter"])
+    def test_all_coincident_cloud_fails_at_normalize(self, tmp_path, capsys, command):
+        src = tmp_path / "coincident.xyz"
+        write_cloud(PointCloud(np.ones((40, 3))), src)
+        code = main([command, "--input", str(src), "--output", str(tmp_path / "o.xyz")])
+        assert code == 1
+        assert capsys.readouterr().err == "error [normalize]: degenerate extent\n"
+
+    @pytest.mark.parametrize("command", ["normals", "filter"])
+    def test_coincident_clusters_fail_at_bilateral(self, tmp_path, capsys, command):
+        # the extent is positive, but every point has 39 coincident others,
+        # so the automatic bilateral scale is 0; stderr carries no warning
+        src = tmp_path / "clusters.xyz"
+        write_cloud(PointCloud(np.repeat(np.eye(3), 40, axis=0)), src)
+        code = main([command, "--input", str(src), "--output", str(tmp_path / "o.xyz")])
+        assert code == 1
+        assert capsys.readouterr().err == "error [bilateral]: degenerate bilateral scale\n"
 
     def test_normals_subcommand_file_normals_absent(self, tmp_path, capsys):
         src = tmp_path / "s.xyz"

@@ -254,6 +254,11 @@ class TestBilateralFilterNormals:
         bilateral_filter_normals(cloud, noisy, BilateralParams(k=10))
         assert np.array_equal(noisy, before)
 
+    def test_all_coincident_cloud_rejected(self):
+        cloud = PointCloud(np.ones((40, 3)), np.tile([0.0, 0.0, 1.0], (40, 1)))
+        with pytest.raises(ValueError, match="degenerate bilateral scale"):
+            bilateral_filter_normals(cloud, cloud.normals, BilateralParams(k=10))
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             BilateralParams(sigma_r=0.0)

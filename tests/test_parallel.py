@@ -1,0 +1,189 @@
+"""Row blocks and worker threads change no result, and the pipeline stages
+themselves never run on a pool thread."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from cloudfilter import (
+    BilateralParams,
+    FilterParams,
+    PointCloud,
+    RunConfig,
+    add_gaussian_noise,
+    bilateral_filter_normals,
+    build_neighbor_index,
+    core,
+    estimate_normals_pca,
+    evaluate,
+    filter_cloud,
+    filtering,
+    make_shape,
+    run_pipeline,
+    write_cloud,
+)
+from cloudfilter.filtering import _update_all, data_energy
+from cloudfilter.synth import NoiseSpec
+
+# (BLOCK_ROWS, WORKERS); None is a block of at least the whole cloud with
+# the host's worker count, which computes every kernel as one array.
+SETTINGS = [(7, 2), (7, 1), (None, None)]
+
+
+@pytest.fixture
+def noisy_sphere():
+    """A noisy sphere whose point count, 201, is not a multiple of 7."""
+    rng = np.random.default_rng(11)
+    radial = rng.normal(size=(201, 3))
+    radial /= np.linalg.norm(radial, axis=1, keepdims=True)
+    pts = radial + rng.normal(0.0, 0.02, radial.shape)
+    assert len(pts) % 7 != 0
+    return PointCloud(pts, radial)
+
+
+def under_each_setting(monkeypatch, m, compute):
+    """compute() once per entry of SETTINGS."""
+    results = []
+    for block_rows, workers in SETTINGS:
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "BLOCK_ROWS", m if block_rows is None else block_rows)
+            if workers is not None:
+                patch.setattr(core, "WORKERS", workers)
+            results.append(compute())
+    return results
+
+
+def assert_all_equal(results):
+    first = results[0]
+    for other in results[1:]:
+        if isinstance(first, tuple):
+            assert all(np.array_equal(a, b) for a, b in zip(first, other))
+        else:
+            assert np.array_equal(first, other)
+
+
+class TestBlockAndWorkerInvariance:
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_update_all(self, monkeypatch, noisy_sphere, mu):
+        pts, normals = noisy_sphere.points, noisy_sphere.normals
+        nbrs = build_neighbor_index(pts).k_nearest_all(10)
+        params = FilterParams(k=10, mu=mu)
+        assert_all_equal(under_each_setting(
+            monkeypatch, len(pts), lambda: _update_all(pts, normals, nbrs, params, 0.3)
+        ))
+
+    def test_data_energy(self, monkeypatch, noisy_sphere):
+        index = build_neighbor_index(noisy_sphere.points)
+        assert_all_equal(under_each_setting(
+            monkeypatch, len(noisy_sphere),
+            lambda: data_energy(noisy_sphere, noisy_sphere.normals, index, 10),
+        ))
+
+    @pytest.mark.parametrize("sigma_s", [None, 0.2])
+    def test_bilateral_filter_normals(self, monkeypatch, noisy_sphere, sigma_s):
+        params = BilateralParams(sigma_s=sigma_s, k=12)
+        assert_all_equal(under_each_setting(
+            monkeypatch, len(noisy_sphere),
+            lambda: bilateral_filter_normals(noisy_sphere, noisy_sphere.normals, params),
+        ))
+
+    def test_estimate_normals_pca(self, monkeypatch, noisy_sphere):
+        results = under_each_setting(
+            monkeypatch, len(noisy_sphere), lambda: estimate_normals_pca(noisy_sphere, 12)
+        )
+        assert_all_equal([normals for normals, _ in results])
+        assert all(degenerate == results[0][1] for _, degenerate in results)
+
+    def test_estimate_normals_pca_degenerate_rows(self, monkeypatch):
+        # collinear patches take the per-row degenerate path
+        pts = np.column_stack([np.arange(50.0), np.zeros(50), np.zeros(50)])
+        results = under_each_setting(
+            monkeypatch, 50, lambda: estimate_normals_pca(PointCloud(pts), 4)
+        )
+        assert results[0][1] == list(range(50))
+        assert_all_equal([normals for normals, _ in results])
+
+    def test_evaluate(self, monkeypatch, noisy_sphere):
+        gt = make_shape("sphere", 5).points
+        results = under_each_setting(
+            monkeypatch, len(noisy_sphere), lambda: evaluate(gt, noisy_sphere.points)
+        )
+        assert all(report == results[0] for report in results)
+
+
+def noisy_cube(seed):
+    return add_gaussian_noise(make_shape("cube", 6), NoiseSpec(0.005, seed))
+
+
+class TestThreadContract:
+    def test_stages_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(core, "WORKERS", 2)
+        threads = {}
+
+        def record(owner, name):
+            original = getattr(owner, name)
+
+            def recorder(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recorder)
+
+        for name in ("__init__", "k_nearest_all", "k_nearest", "kth_distances",
+                     "nearest_distances"):
+            record(core.NeighborIndex, name)
+        record(filtering, "resolve_support_radius")
+        record(filtering, "data_energy")
+        record(filtering, "beta")  # called inside the update's row blocks
+
+        src = tmp_path / "in.xyz"
+        write_cloud(PointCloud(noisy_cube(1).points), src)
+        run_pipeline(RunConfig(
+            input_path=str(src),
+            output_path=str(tmp_path / "out.xyz"),
+            filter_params=FilterParams(k=10, t=2),
+            gt_path=str(src),
+            report_path=str(tmp_path / "report.txt"),
+        ))
+
+        caller = threading.get_ident()
+        assert threads.pop("beta") - {caller}, "row blocks never ran on a pool thread"
+        assert set(threads) >= {
+            "__init__", "k_nearest_all", "kth_distances", "nearest_distances",
+            "resolve_support_radius", "data_energy",
+        }
+        for name, seen in threads.items():
+            assert seen == {caller}, name
+
+    def test_concurrent_filter_calls_match_sequential(self, monkeypatch):
+        # more workers than cores, and frequent thread switches
+        monkeypatch.setattr(core, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(core, "WORKERS", 4)
+        params = FilterParams(k=10, t=2)
+        clouds = [noisy_cube(1), noisy_cube(2)]
+        want = [filter_cloud(c, c.normals, params) for c in clouds]
+
+        got = [None, None]
+
+        def run(i):
+            got[i] = filter_cloud(clouds[i], clouds[i].normals, params)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for (want_cloud, want_diag), result in zip(want, got):
+            assert result is not None
+            got_cloud, got_diag = result
+            assert np.array_equal(got_cloud.points, want_cloud.points)
+            assert got_diag == want_diag
