@@ -28,21 +28,40 @@ WORKERS = _usable_cpus()
 BLOCK_ROWS = 1024
 
 
-def for_row_blocks(fn, m):
-    """Call fn(rows) for each slice `rows` of BLOCK_ROWS consecutive rows of
-    range(m), on up to WORKERS threads.
+def for_row_blocks(fn, m, block_rows=None):
+    """Call fn(rows) for each slice `rows` of `block_rows` (default
+    BLOCK_ROWS) consecutive rows of range(m), on up to WORKERS threads.
 
     Each call must write only its own rows of a preallocated output, so the
     result is the same for any block size and thread count. The pool lives
     for this call only; with one block or one worker the calls run inline.
     """
-    blocks = [slice(s, min(s + BLOCK_ROWS, m)) for s in range(0, m, BLOCK_ROWS)]
+    size = BLOCK_ROWS if block_rows is None else block_rows
+    blocks = [slice(s, min(s + size, m)) for s in range(0, m, size)]
     if WORKERS == 1 or len(blocks) <= 1:
         for rows in blocks:
             fn(rows)
         return
     with ThreadPoolExecutor(min(WORKERS, len(blocks))) as pool:
         list(pool.map(fn, blocks))  # re-raises the first block's exception
+
+
+def _query_block_rows(m):
+    """Rows per block of a whole-cloud k-NN query: range(m) split evenly into
+    a multiple of WORKERS blocks of at most 4 * BLOCK_ROWS rows.
+
+    A query block costs one pool hand-off, which is felt below a few
+    thousand rows, and equal blocks keep every worker busy to the end.
+    """
+    blocks = WORKERS * -(-m // (WORKERS * 4 * BLOCK_ROWS))
+    return -(-m // blocks)
+
+
+def _check_k(k, m):
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k >= m:
+        raise ValueError("k exceeds cloud size")
 
 
 def as_points(points):
@@ -145,8 +164,7 @@ class NeighborIndex:
         m = self.count
         if not 0 <= query_idx < m:
             raise IndexError("query index out of range")
-        if k < 1 or k >= m:
-            raise ValueError("k exceeds cloud size")
+        _check_k(k, m)
         p = self._points[query_idx]
         kq = k + 2
         while True:
@@ -164,43 +182,55 @@ class NeighborIndex:
         return j[order[:k]]
 
     def k_nearest_all(self, k):
-        """(M, k) neighbor indices for every point, same tie rule as k_nearest."""
+        """(M, k) neighbor indices for every point, same tie rule as k_nearest.
+
+        The rows are queried in blocks, so the query's temporaries are
+        bounded per worker; only the (M, k) output spans the whole cloud.
+        """
         m = self.count
-        if k < 1 or k >= m:
-            raise ValueError("k exceeds cloud size")
+        _check_k(k, m)
         kq = min(k + 2, m)
-        dist, idx = self._tree.query(self._points, k=kq, workers=WORKERS)
-        # Rows whose distances strictly rise are already in (distance, index)
-        # order with no tie at the k-th place. Only one point sits at distance
-        # 0 there, so column 0 is self.
-        fast = np.all(np.diff(dist, axis=1) > 0, axis=1)
-        out = idx[:, 1 : k + 1].astype(np.intp)
-        slow = np.flatnonzero(~fast)
-        dist, idx = dist[slow], idx[slow]
-        self_col = idx == slow[:, None]
-        # mask self out with +inf and lexsort each row by (distance, index)
-        dist = np.where(self_col, np.inf, dist)
-        order = np.lexsort((idx, dist), axis=-1)
-        d_sorted = np.take_along_axis(dist, order, axis=-1)
-        out[slow] = np.take_along_axis(idx, order, axis=-1)[:, :k]
-        # rows where the tie group at the k-th distance may be cut off need
-        # the exact path; so do rows the query cut self from, as all their
-        # distances are then 0
-        if kq < m:
-            suspect = d_sorted[:, k - 1] == d_sorted[:, k]
-            for i in slow[suspect]:
-                out[i] = self.k_nearest(i, k)
+        out = np.empty((m, k), dtype=np.intp)
+        suspect = np.zeros(m, dtype=bool)
+
+        def block(rows):
+            dist, idx = self._tree.query(self._points[rows], k=kq, workers=1)
+            # Rows whose distances strictly rise are already in (distance,
+            # index) order with no tie at the k-th place. Only one point sits
+            # at distance 0 there, so column 0 is self.
+            fast = np.all(dist[:, 1:] > dist[:, :-1], axis=1)
+            out[rows] = idx[:, 1 : k + 1]
+            slow = np.flatnonzero(~fast)
+            dist, idx = dist[slow], idx[slow]
+            self_col = idx == (rows.start + slow)[:, None]
+            # mask self out with +inf and lexsort each row by (distance, index)
+            dist = np.where(self_col, np.inf, dist)
+            order = np.lexsort((idx, dist), axis=-1)
+            d_sorted = np.take_along_axis(dist, order, axis=-1)
+            out[rows.start + slow] = np.take_along_axis(idx, order, axis=-1)[:, :k]
+            # rows where the tie group at the k-th distance may be cut off
+            # need the exact path; so do rows the query cut self from, as all
+            # their distances are then 0
+            if kq < m:
+                suspect[rows.start + slow] = d_sorted[:, k - 1] == d_sorted[:, k]
+
+        for_row_blocks(block, m, _query_block_rows(m))
+        # k_nearest is a NeighborIndex method, so it runs on the calling
+        # thread, after the blocks, in ascending row order
+        for i in np.flatnonzero(suspect):
+            out[i] = self.k_nearest(i, k)
         return out
 
     def nearest_distances(self):
         """Distance from every point to its nearest other point."""
-        dist, _ = self._tree.query(self._points, k=2, workers=WORKERS)
-        return dist[:, 1]
+        dist, _ = self._tree.query(self._points, k=[2], workers=WORKERS)
+        return dist[:, 0]
 
     def kth_distances(self, k):
         """Distance from every point to its k-th nearest other point."""
-        dist, _ = self._tree.query(self._points, k=k + 1, workers=WORKERS)
-        return dist[:, k]
+        _check_k(k, self.count)
+        dist, _ = self._tree.query(self._points, k=[k + 1], workers=WORKERS)
+        return dist[:, 0]
 
 
 def build_neighbor_index(points):

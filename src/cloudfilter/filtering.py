@@ -86,23 +86,23 @@ def resolve_support_radius(params, points):
     return h
 
 
-def data_energy(cloud, normals, index, k):
-    """Sum over points and their patches of the squared projections of
-    p_i - p_j onto both endpoint normals."""
+def data_energy(normals, index, k):
+    """Sum over the indexed points and their patches of the squared
+    projections of p_i - p_j onto both endpoint normals."""
     pts = index.points
     normals = np.ascontiguousarray(normals, dtype=np.float64)
     nbrs = index.k_nearest_all(k)
-    proj_j = np.empty(nbrs.shape)
-    proj_i = np.empty(nbrs.shape)
+    sq_j = np.empty(nbrs.shape)  # squared projections onto n_j
+    sq_i = np.empty(nbrs.shape)  # and onto n_i
 
     def block(rows):
         patch = nbrs[rows]
         diff = pts[rows, None, :] - pts[patch]  # p_i - p_j
-        proj_j[rows] = np.einsum("ikj,ikj->ik", diff, normals[patch])
-        proj_i[rows] = np.einsum("ikj,ij->ik", diff, normals[rows])
+        sq_j[rows] = np.square(np.einsum("ikj,ikj->ik", diff, normals[patch]))
+        sq_i[rows] = np.square(np.einsum("ikj,ij->ik", diff, normals[rows]))
 
     for_row_blocks(block, len(pts))
-    return float(np.sum(proj_j**2) + np.sum(proj_i**2))
+    return float(np.sum(sq_j) + np.sum(sq_i))
 
 
 def update_point(i, points, normals, patch, params, h):
@@ -193,11 +193,12 @@ def filter_iteration(cloud, normals, params):
     h = resolve_support_radius(params, pts)
 
     new_pts = _update_all(pts, normals, nbrs, params, h)
+    del nbrs, index  # freed before the new positions get theirs
     displacement = np.linalg.norm(new_pts - pts, axis=1)
     new_cloud = PointCloud(new_pts, normals.copy())
     new_index = build_neighbor_index(new_pts)
     diagnostics = IterationDiagnostics(
-        data_energy=data_energy(new_cloud, normals, new_index, params.k),
+        data_energy=data_energy(normals, new_index, params.k),
         mean_displacement=float(displacement.mean()),
         max_displacement=float(displacement.max()),
         nn_distance_stddev=float(new_index.nearest_distances().std()),

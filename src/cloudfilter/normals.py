@@ -111,11 +111,17 @@ def orient_normals(cloud, normals):
     index = build_neighbor_index(pts)
     nbrs = index.k_nearest_all(k)
 
+    weights = np.empty((m, k))
+
+    def edge_weights(block):
+        n_a = np.repeat(normals[block], k, axis=0)
+        dots = np.einsum("ij,ij->i", n_a, normals[nbrs[block].ravel()])
+        weights[block] = np.maximum(1.0 - np.abs(dots), _MIN_WEIGHT).reshape(-1, k)
+
+    for_row_blocks(edge_weights, m)
     rows = np.repeat(np.arange(m), k)
     cols = nbrs.ravel()
-    dots = np.abs(np.einsum("ij,ij->i", normals[rows], normals[cols]))
-    weights = np.maximum(1.0 - dots, _MIN_WEIGHT)
-    graph = coo_matrix((weights, (rows, cols)), shape=(m, m)).tocsr()
+    graph = coo_matrix((weights.ravel(), (rows, cols)), shape=(m, m)).tocsr()
     graph = graph.maximum(graph.T)
 
     n_components, labels = connected_components(graph, directed=False)

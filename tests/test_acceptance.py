@@ -115,13 +115,12 @@ def test_criterion_1_brute_force_oracles(verdict):
         for i in rng.integers(0, n, size=5):
             assert list(index.k_nearest(int(i), k)) == _bf_knn(pts, int(i), k)
 
-        cloud = PointCloud(pts, normals)
         worst = max(
             worst,
             _rel_err(chamfer_distance(pts, other), _bf_chamfer(pts, other)),
             _rel_err(mean_square_error(pts, other, m=10), _bf_mse(pts, other, 10)),
             _rel_err(
-                data_energy(cloud, normals, index, k), _bf_energy(pts, normals, k)
+                data_energy(normals, index, k), _bf_energy(pts, normals, k)
             ),
         )
     elapsed = time.perf_counter() - started

@@ -18,6 +18,12 @@ def brute_force_knn(points, query_idx, k):
     return order[:k]
 
 
+def brute_force_kth(points, k):
+    """O(n^2) reference: distance from every point to its k-th nearest other."""
+    d = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+    return np.sort(d, axis=1)[:, k]
+
+
 def permuted_grid(n, seed):
     """n x n unit-spaced grid plane with its rows in seeded random order."""
     g = np.arange(float(n))
@@ -28,21 +34,25 @@ def permuted_grid(n, seed):
 
 class ReversedTieTree:
     """KD-tree stand-in that breaks distance ties by higher index, the
-    opposite of the tie rule, and records the k and workers of every query."""
+    opposite of the tie rule, and records the points, k and workers of every
+    query. As with cKDTree, k is a count or a sequence of 1-based ranks."""
 
     def __init__(self, points):
         self._points = np.asarray(points)
+        self.queried = []
         self.ks = []
         self.workers = []
 
     def query(self, x, k, workers=1):
+        x = np.asarray(x)
+        self.queried.append(x)
         self.ks.append(k)
         self.workers.append(workers)
-        x = np.asarray(x)
         rows = np.atleast_2d(x)
         d = np.linalg.norm(self._points[None, :, :] - rows[:, None, :], axis=2)
         rank = np.broadcast_to(-np.arange(len(self._points)), d.shape)
-        idx = np.lexsort((rank, d), axis=-1)[:, :k]
+        cols = np.arange(k) if np.ndim(k) == 0 else np.asarray(k) - 1
+        idx = np.lexsort((rank, d), axis=-1)[:, cols]
         dist = np.take_along_axis(d, idx, axis=-1)
         return (dist[0], idx[0]) if x.ndim == 1 else (dist, idx)
 
@@ -149,16 +159,26 @@ class TestNeighborIndex:
 
     def test_whole_cloud_queries_use_every_worker(self, monkeypatch):
         monkeypatch.setattr(core, "WORKERS", 3)
-        index = neighbor_index(permuted_grid(12, seed=3), reversed_ties=True)
+        monkeypatch.setattr(core, "BLOCK_ROWS", 7)
+        pts = permuted_grid(12, seed=3)
+        index = neighbor_index(pts, reversed_ties=True)
         tree = index._tree
         index.k_nearest_all(6)
-        # the whole-cloud query, then single-point tie fallbacks
-        assert tree.workers[0] == 3
-        assert len(tree.workers) > 1 and set(tree.workers[1:]) == {1}
+        # one-thread queries of row blocks that cover every row once, then
+        # single-point tie fallbacks
+        blocks = [x for x in tree.queried if x.ndim == 2]
+        fallbacks = [x for x in tree.queried if x.ndim == 1]
+        assert len(blocks) > 1 and len(blocks) % 3 == 0
+        assert fallbacks and set(tree.workers) == {1}
+        queried = np.concatenate(blocks)
+        assert len(queried) == len(pts)
+        assert np.array_equal(np.unique(queried, axis=0), np.unique(pts, axis=0))
         tree.workers.clear()
-        index.kth_distances(6)
-        index.nearest_distances()
+        # the single-column queries stay whole-cloud, on every worker
+        assert np.array_equal(index.kth_distances(6), brute_force_kth(pts, 6))
+        assert np.array_equal(index.nearest_distances(), brute_force_kth(pts, 1))
         assert tree.workers == [3, 3]
+        assert tree.ks[-2:] == [[7], [2]]
 
     def test_coincident_points_tie_broken_by_index(self):
         pts = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0.0]])
@@ -178,6 +198,23 @@ class TestNeighborIndex:
         index = build_neighbor_index([[0, 0, 0], [1, 0, 0.0]])
         with pytest.raises(ValueError, match="k exceeds cloud size"):
             index.k_nearest(0, 2)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_kth_distances_k_too_large_rejected(self, k):
+        index = build_neighbor_index([[0, 0, 0], [1, 0, 0.0]])
+        with pytest.raises(ValueError, match="k exceeds cloud size"):
+            index.kth_distances(k)
+
+    @pytest.mark.parametrize("query", [
+        lambda index, k: index.k_nearest(0, k),
+        lambda index, k: index.k_nearest_all(k),
+        lambda index, k: index.kth_distances(k),
+    ], ids=["k_nearest", "k_nearest_all", "kth_distances"])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, query, k):
+        index = build_neighbor_index([[0, 0, 0], [1, 0, 0.0], [3, 0, 0.0]])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            query(index, k)
 
     def test_source_points_not_mutated(self):
         rng = np.random.default_rng(3)

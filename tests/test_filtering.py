@@ -63,22 +63,26 @@ class TestSupportRadius:
         params = FilterParams(k=1, h_mode="auto", h_value=4.0)
         assert resolve_support_radius(params, pts) == pytest.approx(4.0)
 
+    def test_auto_k_too_large_rejected(self):
+        pts = np.random.default_rng(0).random((9, 3))
+        with pytest.raises(ValueError, match="k exceeds cloud size"):
+            resolve_support_radius(FilterParams(k=9), pts)
+
 
 class TestDataEnergy:
     def test_coplanar_points_zero_energy(self):
         cloud = make_shape("plane", 8)
         index = build_neighbor_index(cloud.points)
-        assert data_energy(cloud, cloud.normals, index, 6) == pytest.approx(0.0, abs=1e-20)
+        assert data_energy(cloud.normals, index, 6) == pytest.approx(0.0, abs=1e-20)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(17)
         pts = rng.random((120, 3))
         normals = rng.normal(size=(120, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        cloud = PointCloud(pts, normals)
         index = build_neighbor_index(pts)
         nbrs = index.k_nearest_all(10)
-        fast = data_energy(cloud, normals, index, 10)
+        fast = data_energy(normals, index, 10)
         slow = brute_force_data_energy(pts, normals, nbrs)
         assert fast == pytest.approx(slow, rel=1e-12)
 

@@ -1,8 +1,10 @@
-"""Row blocks and worker threads change no result, and the pipeline stages
-themselves never run on a pool thread."""
+"""Row blocks and worker threads change no result, the pipeline stages
+themselves never run on a pool thread, and the whole-cloud k-NN queries hold
+no whole-cloud temporaries."""
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +23,14 @@ from cloudfilter import (
     filter_cloud,
     filtering,
     make_shape,
+    orient_normals,
     run_pipeline,
     write_cloud,
 )
 from cloudfilter.filtering import _update_all, data_energy
+from cloudfilter.normals import ORIENT_GRAPH_K
 from cloudfilter.synth import NoiseSpec
+from test_core import ReversedTieTree, permuted_grid
 
 # (BLOCK_ROWS, WORKERS); None is a block of at least the whole cloud with
 # the host's worker count, which computes every kernel as one array.
@@ -64,7 +69,43 @@ def assert_all_equal(results):
             assert np.array_equal(first, other)
 
 
+def coincident_copies():
+    """40 random points, each repeated 1 to 3 times, rows shuffled."""
+    rng = np.random.default_rng(3)
+    base = rng.random((40, 3))
+    pts = np.repeat(base, rng.integers(1, 4, len(base)), axis=0)
+    return pts[rng.permutation(len(pts))]
+
+
 class TestBlockAndWorkerInvariance:
+    @pytest.mark.parametrize("cloud", ["sphere", "grid", "copies"])
+    def test_k_nearest_all(self, monkeypatch, noisy_sphere, cloud):
+        # the grid's reversed ties and the copies send rows down the lexsort
+        # and k_nearest paths
+        pts = {"sphere": noisy_sphere.points, "grid": permuted_grid(15, seed=4),
+               "copies": coincident_copies()}[cloud]
+        index = build_neighbor_index(pts)
+        if cloud == "grid":
+            index._tree = ReversedTieTree(pts)
+        for k in (1, 6, 10):
+            assert_all_equal(under_each_setting(
+                monkeypatch, len(pts), lambda: index.k_nearest_all(k)
+            ))
+
+    def test_kth_and_nearest_distances(self, monkeypatch, noisy_sphere):
+        index = build_neighbor_index(noisy_sphere.points)
+        assert_all_equal(under_each_setting(
+            monkeypatch, len(noisy_sphere),
+            lambda: (index.kth_distances(10), index.nearest_distances()),
+        ))
+
+    def test_orient_normals(self, monkeypatch, noisy_sphere):
+        signs = np.where(np.random.default_rng(5).random(len(noisy_sphere)) < 0.5, 1.0, -1.0)
+        flipped = noisy_sphere.normals * signs[:, None]
+        assert_all_equal(under_each_setting(
+            monkeypatch, len(noisy_sphere), lambda: orient_normals(noisy_sphere, flipped)
+        ))
+
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     def test_update_all(self, monkeypatch, noisy_sphere, mu):
         pts, normals = noisy_sphere.points, noisy_sphere.normals
@@ -78,7 +119,7 @@ class TestBlockAndWorkerInvariance:
         index = build_neighbor_index(noisy_sphere.points)
         assert_all_equal(under_each_setting(
             monkeypatch, len(noisy_sphere),
-            lambda: data_energy(noisy_sphere, noisy_sphere.normals, index, 10),
+            lambda: data_energy(noisy_sphere.normals, index, 10),
         ))
 
     @pytest.mark.parametrize("sigma_s", [None, 0.2])
@@ -117,6 +158,14 @@ def noisy_cube(seed):
     return add_gaussian_noise(make_shape("cube", 6), NoiseSpec(0.005, seed))
 
 
+def permuted_plane(seed):
+    """A grid plane in seeded row order: its exact distance ties survive
+    normalization and send rows to the k_nearest fallback."""
+    plane = make_shape("plane", 12)
+    order = np.random.default_rng(seed).permutation(len(plane))
+    return PointCloud(plane.points[order], plane.normals[order])
+
+
 class TestThreadContract:
     def test_stages_run_on_the_calling_thread(self, tmp_path, monkeypatch):
         monkeypatch.setattr(core, "BLOCK_ROWS", 7)
@@ -139,21 +188,23 @@ class TestThreadContract:
         record(filtering, "data_energy")
         record(filtering, "beta")  # called inside the update's row blocks
 
-        src = tmp_path / "in.xyz"
-        write_cloud(PointCloud(noisy_cube(1).points), src)
-        run_pipeline(RunConfig(
-            input_path=str(src),
-            output_path=str(tmp_path / "out.xyz"),
-            filter_params=FilterParams(k=10, t=2),
-            gt_path=str(src),
-            report_path=str(tmp_path / "report.txt"),
-        ))
+        # the grid's distance ties reach the k_nearest fallback
+        for cloud in (noisy_cube(1), permuted_plane(1)):
+            src = tmp_path / "in.xyz"
+            write_cloud(PointCloud(cloud.points), src)
+            run_pipeline(RunConfig(
+                input_path=str(src),
+                output_path=str(tmp_path / "out.xyz"),
+                filter_params=FilterParams(k=10, t=2),
+                gt_path=str(src),
+                report_path=str(tmp_path / "report.txt"),
+            ))
 
         caller = threading.get_ident()
         assert threads.pop("beta") - {caller}, "row blocks never ran on a pool thread"
-        assert set(threads) >= {
-            "__init__", "k_nearest_all", "kth_distances", "nearest_distances",
-            "resolve_support_radius", "data_energy",
+        assert set(threads) == {
+            "__init__", "k_nearest_all", "k_nearest", "kth_distances",
+            "nearest_distances", "resolve_support_radius", "data_energy",
         }
         for name, seen in threads.items():
             assert seen == {caller}, name
@@ -187,3 +238,67 @@ class TestThreadContract:
             got_cloud, got_diag = result
             assert np.array_equal(got_cloud.points, want_cloud.points)
             assert got_diag == want_diag
+
+
+def traced_peak(compute):
+    """Peak bytes that numpy and Python allocate during compute()."""
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestQueryMemory:
+    """The whole-cloud queries on 20,000 points under 2 workers and the
+    default block size hold no whole-cloud temporaries."""
+
+    M = 20_000
+
+    @pytest.fixture
+    def sphere(self, monkeypatch):
+        monkeypatch.setattr(core, "WORKERS", 2)
+        monkeypatch.setattr(core, "BLOCK_ROWS", 1024)
+        rng = np.random.default_rng(0)
+        radial = rng.normal(size=(self.M, 3))
+        radial /= np.linalg.norm(radial, axis=1, keepdims=True)
+        return PointCloud(radial + rng.normal(0.0, 0.002, radial.shape), radial)
+
+    def test_k_nearest_all(self, sphere):
+        index = build_neighbor_index(sphere.points)
+        k = 30
+        # per worker, one query block (at most 4 * BLOCK_ROWS rows) of
+        # distances, indices and test masks
+        block_bytes = core.WORKERS * 4 * core.BLOCK_ROWS * (k + 2) * 32
+        out_bytes = self.M * k * np.dtype(np.intp).itemsize
+        assert traced_peak(lambda: index.k_nearest_all(k)) < out_bytes + block_bytes
+
+    def test_kth_and_nearest_distances(self, sphere):
+        index = build_neighbor_index(sphere.points)
+        # the (M, 1) distance and index columns the tree returns
+        bound = 3 * self.M * 8
+        assert traced_peak(lambda: index.kth_distances(30)) < bound
+        assert traced_peak(lambda: index.nearest_distances()) < bound
+
+    def test_orient_normals_gathers_no_edge_arrays(self, sphere, monkeypatch):
+        # The edge weights are orient's only per-edge computation; stop at
+        # the graph build, whose sparse arrays would hide them in the peak.
+        class GraphBuild(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise GraphBuild
+
+        monkeypatch.setattr("cloudfilter.normals.coo_matrix", stop)
+        m, k = self.M, ORIENT_GRAPH_K
+
+        def orient():
+            with pytest.raises(GraphBuild):
+                orient_normals(sphere, sphere.normals)
+
+        # normals copy and indexed points, then neighbour lists, edge
+        # weights and edge row ids
+        needed = 2 * m * 3 * 8 + 3 * m * k * 8
+        edge_vectors = m * k * 3 * 8  # one (8m, 3) array
+        assert traced_peak(orient) < needed + edge_vectors
