@@ -52,9 +52,6 @@ def _add_filter_flags(sub):
     sub.add_argument("--gt", default=None)
     sub.add_argument("--report", default=None)
     sub.add_argument("--diagnostics", default=None)
-    sub.add_argument("--no-normalize", action="store_true")
-    sub.add_argument("--mse-variant", choices=("described", "printed"), default="described")
-    sub.add_argument("--epsilon-r", type=float, default=1e-8)
 
 
 def _bilateral_params(args):
@@ -78,7 +75,6 @@ def _config_from_args(args):
             t=args.iters,
             h_mode=h_mode,
             h_value=h_value,
-            epsilon_r=args.epsilon_r,
         ),
         bilateral_params=_bilateral_params(args),
         normal_source=args.normals,
@@ -86,8 +82,6 @@ def _config_from_args(args):
         gt_path=args.gt,
         report_path=args.report,
         diagnostics_path=args.diagnostics,
-        normalize=not args.no_normalize,
-        mse_variant=args.mse_variant,
     )
 
 
@@ -97,13 +91,14 @@ def _cmd_filter(args):
 
 
 def _cmd_normals(args):
-    cloud = cloud_io.read_cloud(args.input, args.format)
+    cloud = _stage("read", cloud_io.read_cloud, args.input, args.format)
     # Smooth in the frame `filter` uses, so --bilateral-sigma-s is the same
     # length in both commands. Normals do not change under translation and
     # uniform scaling, so they go out with the points as read.
     normalized, _ = _stage("normalize", normalize_cloud, cloud)
     smoothed = smoothed_normals(normalized, args.normals, args.pca_k, _bilateral_params(args))
-    cloud_io.write_cloud(PointCloud(cloud.points, smoothed), args.output, args.format)
+    out = PointCloud(cloud.points, smoothed)
+    _stage("write", cloud_io.write_cloud, out, args.output, args.format)
     return 0
 
 
@@ -123,9 +118,7 @@ def _cmd_shape(args):
 def _cmd_metrics(args):
     gt = cloud_io.read_cloud(args.gt, args.format)
     predicted = cloud_io.read_cloud(args.input, args.format)
-    report = metrics.evaluate(
-        gt.points, predicted.points, m=args.mse_k, variant=args.mse_variant
-    )
+    report = metrics.evaluate(gt.points, predicted.points)
     if args.report:
         _write_text(args.report, report.to_text())
     else:
@@ -168,8 +161,6 @@ def build_parser():
     p_metrics.add_argument("--input", required=True)
     p_metrics.add_argument("--gt", required=True)
     p_metrics.add_argument("--format", choices=cloud_io.FORMATS, default="xyz")
-    p_metrics.add_argument("--mse-k", type=int, default=10)
-    p_metrics.add_argument("--mse-variant", choices=("described", "printed"), default="described")
     p_metrics.add_argument("--report", default=None)
     p_metrics.set_defaults(fn=_cmd_metrics)
 

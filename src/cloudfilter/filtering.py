@@ -16,6 +16,10 @@ from dataclasses import dataclass
 
 from .core import PointCloud, build_neighbor_index, for_row_blocks
 
+# Tangential offsets shorter than this are clamped before beta divides by
+# them, so coincident neighbors give a finite weight.
+EPSILON_R = 1e-8
+
 
 @dataclass
 class FilterParams:
@@ -30,21 +34,18 @@ class FilterParams:
     t: int = 5
     h_mode: str = "auto"
     h_value: float = 4.0
-    epsilon_r: float = 1e-8
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.mu < 0:
-            raise ValueError("mu must be non-negative")
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError("mu must be finite and non-negative")
         if self.t < 1:
             raise ValueError("t must be >= 1")
         if self.h_mode not in ("auto", "fixed"):
             raise ValueError("h_mode must be 'auto' or 'fixed'")
         if not self.h_value > 0:
             raise ValueError("h_value must be positive")
-        if not self.epsilon_r > 0:
-            raise ValueError("epsilon_r must be positive")
 
 
 @dataclass
@@ -129,7 +130,7 @@ def update_point(i, points, normals, patch, params, h):
         return p_i + data_step
 
     tangential = along_j - d  # p_i - p_j minus its n_j component
-    b = beta(np.linalg.norm(tangential, axis=1), h, params.epsilon_r)
+    b = beta(np.linalg.norm(tangential, axis=1), h, EPSILON_R)
     denom = b.sum()
     if denom <= 0:  # all theta weights underflowed; no effective repulsion
         return p_i + data_step
@@ -160,7 +161,7 @@ def _update_all(points, normals, nbrs, params, h):
             return
 
         tangential = along_j - d  # p_i - p_j minus its n_j component
-        b = beta(np.linalg.norm(tangential, axis=2), h, params.epsilon_r)
+        b = beta(np.linalg.norm(tangential, axis=2), h, EPSILON_R)
         denom = b.sum(axis=1)[:, None]
         # theta can underflow to 0 for isolated points: no repulsion there
         repulsion_step = np.divide(

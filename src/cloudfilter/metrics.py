@@ -25,13 +25,6 @@ class MetricReport:
             f"s2_count={self.s2_count}\n"
         )
 
-    def to_csv_row(self):
-        return f"{self.chamfer:.12g},{self.mse:.12g},{self.s1_count},{self.s2_count}"
-
-    @staticmethod
-    def csv_header():
-        return "chamfer,mse,s1_count,s2_count"
-
 
 def _check_mse_args(a, b, m, variant):
     if m < 1:

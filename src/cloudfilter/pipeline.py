@@ -28,8 +28,6 @@ class RunConfig:
     gt_path: str | None = None
     report_path: str | None = None
     diagnostics_path: str | None = None
-    normalize: bool = True
-    mse_variant: str = "described"
 
     def __post_init__(self):
         if not self.input_path or not self.output_path:
@@ -72,11 +70,7 @@ def run_pipeline(config):
     started = time.perf_counter()
     cloud = _stage("read", cloud_io.read_cloud, config.input_path, config.format)
 
-    if config.normalize:
-        cloud, transform = _stage("normalize", normalize_cloud, cloud)
-    else:
-        transform = None
-
+    cloud, transform = _stage("normalize", normalize_cloud, cloud)
     smoothed = smoothed_normals(
         cloud, config.normal_source, config.pca_k, config.bilateral_params
     )
@@ -84,11 +78,7 @@ def run_pipeline(config):
         "filter", filter_cloud, cloud, smoothed, config.filter_params
     )
 
-    if transform is not None:
-        out_points = transform.invert(filtered.points)
-    else:
-        out_points = filtered.points
-    out_cloud = PointCloud(out_points, filtered.normals)
+    out_cloud = PointCloud(transform.invert(filtered.points), filtered.normals)
     _stage("write", cloud_io.write_cloud, out_cloud, config.output_path, config.format)
 
     diag_path = config.diagnostics_path
@@ -99,14 +89,7 @@ def run_pipeline(config):
     report = None
     if config.gt_path is not None:
         gt = _stage("metrics", cloud_io.read_cloud, config.gt_path, config.format)
-        report = _stage(
-            "metrics",
-            metrics.evaluate,
-            gt.points,
-            out_cloud.points,
-            10,
-            config.mse_variant,
-        )
+        report = _stage("metrics", metrics.evaluate, gt.points, out_cloud.points)
         wall = time.perf_counter() - started
         text = report.to_text() + f"wall_time_seconds={wall:.6g}\n"
         if config.report_path:

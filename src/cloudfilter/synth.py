@@ -16,8 +16,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("noise level must be non-negative")
+        if not (np.isfinite(self.level) and self.level >= 0):
+            raise ValueError("noise level must be finite and non-negative")
 
 
 def _grid(n):

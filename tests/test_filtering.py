@@ -15,7 +15,7 @@ from cloudfilter import (
     theta,
     update_point,
 )
-from cloudfilter.filtering import _update_all
+from cloudfilter.filtering import EPSILON_R, _update_all
 
 
 def brute_force_data_energy(points, normals, nbrs):
@@ -186,7 +186,7 @@ class TestRepulsionWeightCancels:
         nbrs = build_neighbor_index(pts).k_nearest_all(params.k)
         h = resolve_support_radius(params, pts)
         fast = _update_all(pts, normals, nbrs, params, h)
-        slow = brute_force_weighted_update(pts, normals, nbrs, params.mu, h, params.epsilon_r)
+        slow = brute_force_weighted_update(pts, normals, nbrs, params.mu, h, EPSILON_R)
         np.testing.assert_allclose(fast, slow, rtol=1e-14)
 
 
@@ -267,13 +267,12 @@ class TestFilterParams:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             FilterParams(k=0)
-        with pytest.raises(ValueError):
-            FilterParams(mu=-0.1)
+        for mu in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="mu"):
+                FilterParams(mu=mu)
         with pytest.raises(ValueError):
             FilterParams(t=0)
         with pytest.raises(ValueError):
             FilterParams(h_mode="nope")
         with pytest.raises(ValueError):
             FilterParams(h_value=0.0)
-        with pytest.raises(ValueError):
-            FilterParams(epsilon_r=0.0)

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from cloudfilter import (
     run_pipeline,
     write_cloud,
 )
-from cloudfilter.cli import PipelineError, main
+from cloudfilter.cli import PipelineError, build_parser, main
 from cloudfilter.cloud_io import CloudIOError
 from cloudfilter.filtering import FilterParams
 from cloudfilter.normals import BilateralParams
@@ -498,6 +499,46 @@ class TestCli:
         write_cloud(PointCloud(cloud.points, smoothed), want)
         assert dst.read_bytes() == want.read_bytes()
 
+    def test_filter_writes_the_normals_that_normals_writes(self, tmp_path):
+        # both commands smooth in the normalized frame, so one
+        # --bilateral-sigma-s gives the same normals whatever the input scale
+        src = tmp_path / "s.xyz"
+        clean = make_shape("cube", 8)
+        rng = np.random.default_rng(5)
+        noisy = clean.points + rng.normal(0.0, 0.005, clean.points.shape)
+        write_cloud(PointCloud(100.0 * noisy + [3.0, -7.0, 11.0]), src)
+        written = {}
+        for command, extra in (("normals", []), ("filter", ["--iters", "1"])):
+            dst = tmp_path / f"{command}.xyz"
+            assert main([
+                command, "--input", str(src), "--output", str(dst),
+                "--bilateral-sigma-s", "0.05", *extra,
+            ]) == 0
+            written[command] = [line.split()[3:] for line in dst.read_text().splitlines()]
+        assert len(written["filter"]) == len(clean)
+        assert written["filter"] == written["normals"]
+
+    @pytest.mark.parametrize("command", ["normals", "filter"])
+    def test_read_and_write_errors_name_their_stage(self, tmp_path, capsys, command):
+        src = tmp_path / "s.xyz"
+        write_cloud(PointCloud(make_shape("plane", 8).points), src)
+        missing = tmp_path / "missing.xyz"
+        assert main([command, "--input", str(missing), "--output", str(tmp_path / "o.xyz")]) == 1
+        assert capsys.readouterr().err.startswith("error [read]: ")
+        unwritable = tmp_path / "no-such-dir" / "o.xyz"
+        assert main([command, "--input", str(src), "--output", str(unwritable)]) == 1
+        assert capsys.readouterr().err.startswith("error [write]: ")
+
+    def test_nonfinite_mu_rejected(self, tmp_path, capsys):
+        src = tmp_path / "s.xyz"
+        write_cloud(make_shape("plane", 8), src)
+        code = main([
+            "filter", "--input", str(src), "--output", str(tmp_path / "o.xyz"), "--mu", "nan",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error [filter]: mu must be finite and non-negative\n"
+        assert not (tmp_path / "o.xyz").exists()
+
     @pytest.mark.parametrize("command", ["normals", "filter"])
     def test_all_coincident_cloud_fails_at_normalize(self, tmp_path, capsys, command):
         src = tmp_path / "coincident.xyz"
@@ -526,14 +567,6 @@ class TestCli:
         assert code == 1
         assert "error [normals]: input file carries no normals" in capsys.readouterr().err
 
-    def test_error_reports_stage_and_exit_code(self, tmp_path, capsys):
-        code = main([
-            "filter", "--input", str(tmp_path / "missing.xyz"),
-            "--output", str(tmp_path / "out.xyz"),
-        ])
-        assert code == 1
-        assert "error [read]:" in capsys.readouterr().err
-
     def test_h_flag_parsing(self, tmp_path):
         clean = tmp_path / "c.xyz"
         write_cloud(make_shape("plane", 8), clean)
@@ -555,6 +588,31 @@ class TestCli:
         assert exit_.value.code == 2
         assert "argument --h: expected a number" in capsys.readouterr().err
         assert not (tmp_path / "o.xyz").exists()
+
+    def test_option_surface(self):
+        # every flag added to or removed from the command line shows here
+        expected = {
+            "filter": [
+                "--input", "--output", "--format", "--normals", "--pca-k",
+                "--bilateral-sigma-s", "--bilateral-sigma-r", "--bilateral-iters",
+                "--bilateral-k", "--k", "--mu", "--iters", "--h", "--gt", "--report",
+                "--diagnostics",
+            ],
+            "normals": [
+                "--input", "--output", "--format", "--normals", "--pca-k",
+                "--bilateral-sigma-s", "--bilateral-sigma-r", "--bilateral-iters",
+                "--bilateral-k",
+            ],
+            "noise": ["--input", "--output", "--format", "--level", "--seed"],
+            "shape": ["--kind", "--samples", "--output", "--format"],
+            "metrics": ["--input", "--gt", "--format", "--report"],
+        }
+        (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        surface = {
+            name: [opt for a in sub._actions if a.dest != "help" for opt in a.option_strings]
+            for name, sub in subs.choices.items()
+        }
+        assert surface == expected
 
     def test_module_entry_point_runs_without_warning(self):
         src = str(Path(cloudfilter.__file__).resolve().parent.parent)

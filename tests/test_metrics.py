@@ -102,11 +102,6 @@ class TestEvaluate:
             assert report.chamfer == chamfer_distance(a, pred)
             assert report.mse == mean_square_error(a, pred, m=m, variant=variant)
 
-    def test_text_and_csv_round_trip(self):
+    def test_text_report(self):
         report = MetricReport(chamfer=0.5, mse=0.25, s1_count=3, s2_count=4)
-        text = report.to_text()
-        assert "chamfer=0.5" in text
-        assert "mse=0.25" in text
-        row = report.to_csv_row()
-        assert row.split(",") == ["0.5", "0.25", "3", "4"]
-        assert MetricReport.csv_header().count(",") == row.count(",")
+        assert report.to_text() == "chamfer=0.5\nmse=0.25\ns1_count=3\ns2_count=4\n"

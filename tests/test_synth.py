@@ -100,8 +100,9 @@ class TestAddGaussianNoise:
         assert np.array_equal(out.normals, cloud.normals)
 
     def test_negative_level_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(-0.1)
+        for level in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="noise level"):
+                NoiseSpec(level)
 
 
 class TestMakeClusteredPlane:
