@@ -103,24 +103,24 @@ def _cmd_normals(args):
 
 
 def _cmd_noise(args):
-    cloud = cloud_io.read_cloud(args.input, args.format)
+    cloud = _stage("read", cloud_io.read_cloud, args.input, args.format)
     noisy = synth.add_gaussian_noise(cloud, synth.NoiseSpec(args.level, args.seed))
-    cloud_io.write_cloud(noisy, args.output, args.format)
+    _stage("write", cloud_io.write_cloud, noisy, args.output, args.format)
     return 0
 
 
 def _cmd_shape(args):
     cloud = synth.make_shape(args.kind, args.samples)
-    cloud_io.write_cloud(cloud, args.output, args.format)
+    _stage("write", cloud_io.write_cloud, cloud, args.output, args.format)
     return 0
 
 
 def _cmd_metrics(args):
-    gt = cloud_io.read_cloud(args.gt, args.format)
-    predicted = cloud_io.read_cloud(args.input, args.format)
+    gt = _stage("read", cloud_io.read_cloud, args.gt, args.format)
+    predicted = _stage("read", cloud_io.read_cloud, args.input, args.format)
     report = metrics.evaluate(gt.points, predicted.points)
     if args.report:
-        _write_text(args.report, report.to_text())
+        _stage("report", _write_text, args.report, report.to_text())
     else:
         sys.stdout.write(report.to_text())
     return 0

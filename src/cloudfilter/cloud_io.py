@@ -1,10 +1,10 @@
 """Point cloud file ingest and emit: XYZ text and ASCII PLY.
 
-Reading parses the numeric body in one np.loadtxt call; an XYZ body that
-call rejects is parsed once more without its whole-line "#" comments. The
-per-line parser runs only when that parse fails or returns a shape the format
-forbids, so an accepted file yields the same float64 values either way and a
-rejected file gets the line parser's `file:line` message. Writing formats
+Both readers split the file into lines by Python's universal-newline rule,
+and np.loadtxt (through _parse_table) is the only code that turns body text
+into numbers, so both formats accept numpy's number grammar and nothing
+else. A body it rejects, or one with a width the format forbids, raises
+CloudIOError naming `path:line` of the first line at fault. Writing formats
 every value as %.9g, a block of rows at a time.
 """
 
@@ -28,6 +28,9 @@ def _finalize(points, normals, path):
     points = np.ascontiguousarray(points, dtype=np.float64)
     if normals is not None:
         normals = np.ascontiguousarray(normals, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(normals).all(axis=1))
+        if len(bad):
+            raise CloudIOError(f"{path}: non-finite normal at point {bad[0]}")
         norms = np.linalg.norm(normals, axis=1)
         bad = np.flatnonzero(norms < 1e-12)
         if len(bad):
@@ -48,47 +51,57 @@ def _parse_table(source):
         return None
 
 
+def _body_table(path, numbered, width_ok, width_error):
+    """The float64 table of `numbered`, (line number, line) pairs, one row per
+    line of a width width_ok allows; else CloudIOError naming the first bad line."""
+    lines = [line for _, line in numbered]
+    table = _parse_table(lines)
+    if table is not None and len(table) == len(lines) and width_ok(table.shape[1]):
+        return table
+    if not lines:
+        raise CloudIOError(f"{path}: empty cloud")
+    # One pass over the widths finds the first line the format forbids or
+    # whose width differs from the first line's.
+    end, message = len(lines), None
+    first = len(lines[0].split())
+    for i, line in enumerate(lines):
+        width = len(line.split())
+        if not width_ok(width):
+            end, message = i, width_error
+            break
+        if width != first:
+            end, message = i, f"mixed {min(first, width)}- and {max(first, width)}-field lines"
+            break
+    # Lines before it all have one allowed width, so np.loadtxt rejects them
+    # only for a number; halving the range finds the first such line.
+    if end and _parse_table(lines[:end]) is None:
+        low, high = 0, end
+        while high - low > 1:
+            mid = (low + high) // 2
+            if _parse_table(lines[low:mid]) is None:
+                high = mid
+            else:
+                low = mid
+        end, message = low, "malformed number"
+    raise CloudIOError(f"{path}:{numbered[end][0]}: {message}")
+
+
 def _read_xyz(path):
     with open(path) as fh:
         table = _parse_table(fh)
-        if table is None:
-            # Parse again without whole-line comments, by the line parser's
-            # rule; a line with an inline "#" stays and still fails.
+        if table is None or table.shape[1] not in (3, 6):
+            # Drop blank and whole-line "#" lines; a "#" after a value stays and fails.
             fh.seek(0)
-            table = _parse_table([line for line in fh if not line.lstrip().startswith("#")])
-    if table is not None and table.shape[1] in (3, 6):
-        normals = table[:, 3:] if table.shape[1] == 6 else None
-        return _finalize(table[:, :3], normals, path)
-
-    points, normals = [], []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split()
-            if len(fields) not in (3, 6):
-                raise CloudIOError(f"{path}:{lineno}: expected 3 or 6 fields")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise CloudIOError(f"{path}:{lineno}: mixed 3- and 6-field lines")
-            try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                raise CloudIOError(f"{path}:{lineno}: malformed number") from None
-            points.append(values[:3])
-            if width == 6:
-                normals.append(values[3:])
-    if not points:
-        raise CloudIOError(f"{path}: empty cloud")
-    return _finalize(points, normals if normals else None, path)
+            numbered = [(lineno, line) for lineno, line in enumerate(fh, start=1)
+                        if line.strip()[:1] not in ("", "#")]
+            table = _body_table(path, numbered, lambda w: w in (3, 6), "expected 3 or 6 fields")
+    normals = table[:, 3:] if table.shape[1] == 6 else None
+    return _finalize(table[:, :3], normals, path)
 
 
 def _read_ply_ascii(path):
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        lines = fh.readlines()
     if not lines or lines[0].strip() != "ply":
         raise CloudIOError(f"{path}: not a PLY file")
     vertex_count = None
@@ -135,27 +148,10 @@ def _read_ply_ascii(path):
     body = lines[body_start : body_start + vertex_count]
     if len(body) < vertex_count:
         raise CloudIOError(f"{path}: truncated vertex data")
-    table = _parse_table(body)
-    if table is not None and table.shape[0] == vertex_count and table.shape[1] >= len(properties):
-        normals = None if normal_cols is None else table[:, normal_cols]
-        return _finalize(table[:, point_cols], normals, path)
-
-    points, normals = [], [] if normal_cols is not None else None
-    for offset, line in enumerate(body):
-        lineno = body_start + 1 + offset
-        fields = line.strip().split()
-        if len(fields) < len(properties):
-            raise CloudIOError(f"{path}:{lineno}: malformed vertex line")
-        try:
-            values = [float(f) for f in fields]
-        except ValueError:
-            raise CloudIOError(f"{path}:{lineno}: malformed number") from None
-        points.append([values[c] for c in point_cols])
-        if normal_cols is not None:
-            normals.append([values[c] for c in normal_cols])
-    if not points:
-        raise CloudIOError(f"{path}: empty cloud")
-    return _finalize(points, normals, path)
+    table = _body_table(path, list(enumerate(body, start=body_start + 1)),
+                        lambda w: w >= len(properties), "malformed vertex line")
+    normals = None if normal_cols is None else table[:, normal_cols]
+    return _finalize(table[:, point_cols], normals, path)
 
 
 def read_cloud(path, format="xyz"):

@@ -44,8 +44,8 @@ class FilterParams:
             raise ValueError("t must be >= 1")
         if self.h_mode not in ("auto", "fixed"):
             raise ValueError("h_mode must be 'auto' or 'fixed'")
-        if not self.h_value > 0:
-            raise ValueError("h_value must be positive")
+        if not (np.isfinite(self.h_value) and self.h_value > 0):
+            raise ValueError("h_value must be finite and positive")
 
 
 @dataclass

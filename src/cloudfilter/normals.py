@@ -35,10 +35,10 @@ class BilateralParams:
     k: int = 30
 
     def __post_init__(self):
-        if self.sigma_s is not None and not self.sigma_s > 0:
-            raise ValueError("sigma_s must be positive")
-        if not self.sigma_r > 0:
-            raise ValueError("sigma_r must be positive")
+        if self.sigma_s is not None and not (np.isfinite(self.sigma_s) and self.sigma_s > 0):
+            raise ValueError("sigma_s must be finite and positive")
+        if not (np.isfinite(self.sigma_r) and self.sigma_r > 0):
+            raise ValueError("sigma_r must be finite and positive")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.k < 3:

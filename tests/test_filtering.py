@@ -274,5 +274,7 @@ class TestFilterParams:
             FilterParams(t=0)
         with pytest.raises(ValueError):
             FilterParams(h_mode="nope")
-        with pytest.raises(ValueError):
-            FilterParams(h_value=0.0)
+        for h_mode in ("auto", "fixed"):
+            for h_value in (0.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="h_value"):
+                    FilterParams(h_mode=h_mode, h_value=h_value)

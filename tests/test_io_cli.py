@@ -2,6 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -160,94 +161,130 @@ def _ply(rows, properties="x y z", count=None, after_vertex=()):
     return "\n".join(lines + rows) + "\n"
 
 
-# (case id, format, file text). Each input goes through read_cloud and
-# through the per-line parser alone; see TestFastReadParity.
+ERR = CloudIOError
+
+# (case id, format, file text, outcome). The outcome is the exact result of
+# read_cloud: (points, normals) as lists, or (exception type, message) with
+# "{path}" standing for the file read. See TestFastReadParity.
 PARITY_CASES = [
-    ("xyz-3", "xyz", "1 2 3\n4 5 6\n"),
-    ("xyz-6", "xyz", "0 0 0 0 0 2\n1 1 1 0 1 0\n"),
-    ("xyz-comment-line", "xyz", "# header\n1 2 3\n"),
-    ("xyz-indented-comment", "xyz", "1 2 3\n  # note\n4 5 6\n"),
-    ("xyz-inline-hash", "xyz", "1 2 3 # note\n"),
-    ("xyz-header-comments-6", "xyz", "# x y z nx ny nz\n#1 2 3\n0 0 0 0 0 2\n1 1 1 0 1 0\n"),
-    ("xyz-mid-file-comments", "xyz", "1 2 3\n\t# a\n\xa0#b\n4 5 6\n# end"),
-    ("xyz-header-then-inline-hash", "xyz", "# header\n1 2 3\n4 5 6 # note\n"),
-    ("xyz-header-then-four-fields", "xyz", "# header\n1 2 3\n4 5 6 7\n"),
-    ("xyz-inline-hash-6", "xyz", "1 2 3 #a b\n"),
-    ("xyz-blank-lines", "xyz", "\n1 2 3\n\n4 5 6\n\n"),
-    ("xyz-whitespace-lines", "xyz", "1 2 3\n   \n\t\n \x0c\xa0\n4 5 6\n"),
-    ("xyz-tabs", "xyz", "1\t2\t3\n\t4 5\t6\t\n"),
-    ("xyz-crlf", "xyz", "1 2 3\r\n4 5 6\r\n"),
-    ("xyz-lone-cr", "xyz", "1 2 3\r4 5 6\r"),
-    ("xyz-form-feed-separator", "xyz", "1\x0c2 3\n"),
-    ("xyz-no-final-newline", "xyz", "1 2 3\n4 5 6"),
-    ("xyz-mixed-widths", "xyz", "1 2 3\n1 2 3 0 0 1\n"),
-    ("xyz-mixed-widths-6-first", "xyz", "1 2 3 0 0 1\n1 2 3\n"),
-    ("xyz-four-fields", "xyz", "1 2 3 4\n"),
-    ("xyz-four-fields-later", "xyz", "1 2 3\n1 2 3 4\n"),
-    ("xyz-one-field", "xyz", "1\n"),
-    ("xyz-underscore", "xyz", "1_0 2 3\n"),
-    ("xyz-unicode-digits", "xyz", "١٢ 2 3\n"),
-    ("xyz-nan", "xyz", "nan 0 0\n"),
-    ("xyz-inf", "xyz", "0 -inf 0\n"),
-    ("xyz-overflow", "xyz", "0 0 1e500\n"),
-    ("xyz-overflow-normal", "xyz", "0 0 0 1e500 0 0\n"),
-    ("xyz-subnormal-and-signed-zero", "xyz", "4.9e-324 -1e-310 -0.0\n1e-400 +1. -.5\n"),
-    ("xyz-malformed", "xyz", "1 2 x\n"),
-    ("xyz-hex", "xyz", "0x10 2 3\n"),
-    ("xyz-zero-normal", "xyz", "0 0 0 0 0 1\n1 0 0 0 0 0\n"),
-    ("xyz-empty", "xyz", ""),
-    ("xyz-only-comments", "xyz", "# a\n\n# b\n"),
-    ("ply-basic", "ply-ascii", _ply(["0 0 0", "1 2 3"])),
-    ("ply-normals", "ply-ascii", _ply(["0 0 0 0 0 2", "1 2 3 1 0 0"], "x y z nx ny nz")),
-    ("ply-reordered", "ply-ascii", _ply(["3 2 1", "6 5 4"], "z y x")),
-    ("ply-reordered-normals", "ply-ascii",
-     _ply(["0 1 0 2 1 3", "1 4 0 5 0 6"], "nx x ny y nz z")),
+    ("xyz-3", "xyz", "1 2 3\n4 5 6\n", ([[1, 2, 3], [4, 5, 6]], None)),
+    ("xyz-6", "xyz", "0 0 0 0 0 2\n1 1 1 0 1 0\n",
+     ([[0, 0, 0], [1, 1, 1]], [[0, 0, 1], [0, 1, 0]])),
+    ("xyz-comment-line", "xyz", "# header\n1 2 3\n", ([[1, 2, 3]], None)),
+    ("xyz-indented-comment", "xyz", "1 2 3\n  # note\n4 5 6\n", ([[1, 2, 3], [4, 5, 6]], None)),
+    ("xyz-inline-hash", "xyz", "1 2 3 # note\n", (ERR, "{path}:1: expected 3 or 6 fields")),
+    ("xyz-header-comments-6", "xyz", "# x y z nx ny nz\n#1 2 3\n0 0 0 0 0 2\n1 1 1 0 1 0\n",
+     ([[0, 0, 0], [1, 1, 1]], [[0, 0, 1], [0, 1, 0]])),
+    ("xyz-mid-file-comments", "xyz", "1 2 3\n\t# a\n\xa0#b\n4 5 6\n# end",
+     ([[1, 2, 3], [4, 5, 6]], None)),
+    ("xyz-header-then-inline-hash", "xyz", "# header\n1 2 3\n4 5 6 # note\n",
+     (ERR, "{path}:3: expected 3 or 6 fields")),
+    ("xyz-header-then-four-fields", "xyz", "# header\n1 2 3\n4 5 6 7\n",
+     (ERR, "{path}:3: expected 3 or 6 fields")),
+    ("xyz-inline-hash-6", "xyz", "1 2 3 #a b\n", (ERR, "{path}:1: expected 3 or 6 fields")),
+    ("xyz-blank-lines", "xyz", "\n1 2 3\n\n4 5 6\n\n", ([[1, 2, 3], [4, 5, 6]], None)),
+    ("xyz-whitespace-lines", "xyz", "1 2 3\n   \n\t\n \x0c\xa0\n4 5 6\n",
+     ([[1, 2, 3], [4, 5, 6]], None)),
+    ("xyz-tabs", "xyz", "1\t2\t3\n\t4 5\t6\t\n", ([[1, 2, 3], [4, 5, 6]], None)),
+    ("xyz-crlf", "xyz", "1 2 3\r\n4 5 6\r\n", ([[1, 2, 3], [4, 5, 6]], None)),
+    ("xyz-lone-cr", "xyz", "1 2 3\r4 5 6\r", ([[1, 2, 3], [4, 5, 6]], None)),
+    ("xyz-form-feed-separator", "xyz", "1\x0c2 3\n", ([[1, 2, 3]], None)),
+    ("xyz-no-final-newline", "xyz", "1 2 3\n4 5 6", ([[1, 2, 3], [4, 5, 6]], None)),
+    ("xyz-mixed-widths", "xyz", "1 2 3\n1 2 3 0 0 1\n",
+     (ERR, "{path}:2: mixed 3- and 6-field lines")),
+    ("xyz-mixed-widths-6-first", "xyz", "1 2 3 0 0 1\n1 2 3\n",
+     (ERR, "{path}:2: mixed 3- and 6-field lines")),
+    ("xyz-four-fields", "xyz", "1 2 3 4\n", (ERR, "{path}:1: expected 3 or 6 fields")),
+    ("xyz-four-fields-later", "xyz", "1 2 3\n1 2 3 4\n", (ERR, "{path}:2: expected 3 or 6 fields")),
+    ("xyz-one-field", "xyz", "1\n", (ERR, "{path}:1: expected 3 or 6 fields")),
+    ("xyz-underscore", "xyz", "1_0 2 3\n", (ERR, "{path}:1: malformed number")),
+    ("xyz-unicode-digits", "xyz", "١٢ 2 3\n", (ERR, "{path}:1: malformed number")),
+    ("xyz-fullwidth-digit", "xyz", "１ 2 3\n", (ERR, "{path}:1: malformed number")),
+    ("xyz-nan", "xyz", "nan 0 0\n", (ValueError, "invalid coordinate")),
+    ("xyz-inf", "xyz", "0 -inf 0\n", (ValueError, "invalid coordinate")),
+    ("xyz-overflow", "xyz", "0 0 1e500\n", (ValueError, "invalid coordinate")),
+    ("xyz-overflow-normal", "xyz", "0 0 0 1e500 0 0\n",
+     (ERR, "{path}: non-finite normal at point 0")),
+    ("xyz-subnormal-and-signed-zero", "xyz", "4.9e-324 -1e-310 -0.0\n1e-400 +1. -.5\n",
+     ([[5e-324, -1e-310, -0.0], [0, 1, -0.5]], None)),
+    ("xyz-malformed", "xyz", "1 2 x\n", (ERR, "{path}:1: malformed number")),
+    ("xyz-hex", "xyz", "0x10 2 3\n", (ERR, "{path}:1: malformed number")),
+    ("xyz-zero-normal", "xyz", "0 0 0 0 0 1\n1 0 0 0 0 0\n",
+     (ERR, "{path}: zero normal at point 1")),
+    ("xyz-empty", "xyz", "", (ERR, "{path}: empty cloud")),
+    ("xyz-only-comments", "xyz", "# a\n\n# b\n", (ERR, "{path}: empty cloud")),
+    ("ply-basic", "ply-ascii", _ply(["0 0 0", "1 2 3"]), ([[0, 0, 0], [1, 2, 3]], None)),
+    ("ply-normals", "ply-ascii", _ply(["0 0 0 0 0 2", "1 2 3 1 0 0"], "x y z nx ny nz"),
+     ([[0, 0, 0], [1, 2, 3]], [[0, 0, 1], [1, 0, 0]])),
+    ("ply-reordered", "ply-ascii", _ply(["3 2 1", "6 5 4"], "z y x"),
+     ([[1, 2, 3], [4, 5, 6]], None)),
+    ("ply-reordered-normals", "ply-ascii", _ply(["0 1 0 2 1 3", "1 4 0 5 0 6"], "nx x ny y nz z"),
+     ([[1, 2, 3], [4, 5, 6]], [[0, 0, 1], [1, 0, 0]])),
     ("ply-extra-properties", "ply-ascii",
-     _ply(["0 0 0 255 0 0", "1 2 3 0 255 7"], "x y z red green blue")),
-    ("ply-wider-rows", "ply-ascii", _ply(["0 0 0 9 9", "1 2 3 9 9"])),
-    ("ply-ragged-rows", "ply-ascii", _ply(["0 0 0 9", "1 2 3"])),
-    ("ply-blank-line-in-body", "ply-ascii", _ply(["0 0 0", "", "1 2 3"], count=2)),
-    ("ply-trailing-faces", "ply-ascii",
-     _ply(["0 0 0", "1 0 0", "0 1 0", "3 0 1 2"], count=3)),
+     _ply(["0 0 0 255 0 0", "1 2 3 0 255 7"], "x y z red green blue"),
+     ([[0, 0, 0], [1, 2, 3]], None)),
+    ("ply-wider-rows", "ply-ascii", _ply(["0 0 0 9 9", "1 2 3 9 9"]),
+     ([[0, 0, 0], [1, 2, 3]], None)),
+    ("ply-ragged-rows", "ply-ascii", _ply(["0 0 0 9", "1 2 3"]),
+     (ERR, "{path}:10: mixed 3- and 4-field lines")),
+    ("ply-form-feed-separator", "ply-ascii", _ply(["0\x0c0 0", "1 2 3"]),
+     ([[0, 0, 0], [1, 2, 3]], None)),
+    ("ply-blank-line-in-body", "ply-ascii", _ply(["0 0 0", "", "1 2 3"], count=2),
+     (ERR, "{path}:10: malformed vertex line")),
+    ("ply-trailing-faces", "ply-ascii", _ply(["0 0 0", "1 0 0", "0 1 0", "3 0 1 2"], count=3),
+     ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], None)),
     ("ply-face-element", "ply-ascii", _ply(
         ["0 0 0", "1 0 0", "0 1 0", "3 0 1 2"], count=3,
-        after_vertex=["element face 1", "property list uchar int vertex_indices"])),
-    ("ply-short-vertex-line", "ply-ascii", _ply(["0 0 0", "1 2"])),
-    ("ply-malformed-number", "ply-ascii", _ply(["0 0 0", "1 2 y"])),
-    ("ply-underscore", "ply-ascii", _ply(["1_0 0 0"])),
-    ("ply-nan", "ply-ascii", _ply(["nan 0 0"])),
-    ("ply-crlf", "ply-ascii", _ply(["0 0 0", "1 2 3"]).replace("\n", "\r\n")),
-    ("ply-zero-vertices", "ply-ascii", _ply([], count=0)),
-    ("ply-truncated", "ply-ascii", _ply(["0 0 0"], count=2)),
+        after_vertex=["element face 1", "property list uchar int vertex_indices"]),
+     ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], None)),
+    ("ply-short-vertex-line", "ply-ascii", _ply(["0 0 0", "1 2"]),
+     (ERR, "{path}:10: malformed vertex line")),
+    ("ply-malformed-number", "ply-ascii", _ply(["0 0 0", "1 2 y"]),
+     (ERR, "{path}:10: malformed number")),
+    ("ply-underscore", "ply-ascii", _ply(["1_0 0 0"]), (ERR, "{path}:9: malformed number")),
+    ("ply-nan", "ply-ascii", _ply(["nan 0 0"]), (ValueError, "invalid coordinate")),
+    ("ply-crlf", "ply-ascii", _ply(["0 0 0", "1 2 3"]).replace("\n", "\r\n"),
+     ([[0, 0, 0], [1, 2, 3]], None)),
+    ("ply-zero-vertices", "ply-ascii", _ply([], count=0), (ERR, "{path}: empty cloud")),
+    ("ply-truncated", "ply-ascii", _ply(["0 0 0"], count=2),
+     (ERR, "{path}: truncated vertex data")),
 ]
 
 
-def _outcome(read, path):
-    """Arrays of a successful read, or the type and text of its exception."""
+def _outcome(path, format):
+    """Arrays of a successful read, or the type and text of its exception;
+    a warning is raised as an exception."""
     try:
-        cloud = read(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud = read_cloud(path, format)
     except Exception as exc:  # compared, not swallowed
         return type(exc), str(exc)
     normals = None if cloud.normals is None else cloud.normals.tobytes()
     return cloud.points.tobytes(), normals
 
 
-class TestFastReadParity:
-    @pytest.mark.parametrize(
-        "text, format", [(t, f) for _, f, t in PARITY_CASES],
-        ids=[case_id for case_id, _, _ in PARITY_CASES],
+def _expected(outcome, path):
+    """An outcome of PARITY_CASES in the form _outcome returns."""
+    first, second = outcome
+    if isinstance(first, type):
+        return first, second.format(path=path)
+    return np.array(first, dtype=np.float64).tobytes(), (
+        None if second is None else np.array(second, dtype=np.float64).tobytes()
     )
-    def test_same_as_line_parser(self, tmp_path, monkeypatch, text, format):
+
+
+class TestFastReadParity:
+    # The test keeps its name, and so its ids, from when it compared the fast
+    # path with a second, per-line parser; it now pins each exact outcome.
+    @pytest.mark.parametrize(
+        "text, format, outcome", [(t, f, o) for _, f, t, o in PARITY_CASES],
+        ids=[case_id for case_id, _, _, _ in PARITY_CASES],
+    )
+    def test_same_as_line_parser(self, tmp_path, text, format, outcome):
         path = tmp_path / ("in.ply" if format == "ply-ascii" else "in.xyz")
         path.write_bytes(text.encode())
-        def read(p):
-            return read_cloud(p, format=format)
-
-        with monkeypatch.context() as m:
-            # With no table from np.loadtxt, both readers run the per-line parser alone.
-            m.setattr(cloud_io, "_parse_table", lambda source: None)
-            expected = _outcome(read, path)
-        assert _outcome(read, path) == expected
+        assert _outcome(path, format) == _expected(outcome, path)
 
     @pytest.mark.parametrize("format", ["xyz", "ply-ascii"])
     @pytest.mark.parametrize("with_normals", [False, True])
@@ -289,6 +326,90 @@ class TestFastReadParity:
         back = read_cloud(path)
         assert tables[-1].shape == (len(cloud), 6)
         assert np.allclose(back.points, cloud.points, atol=1e-8)
+
+
+# One mutation of one body line per fuzz case: a token replaced by each of
+# these, a field dropped or added, a blank or "#" line inserted before the
+# line, or the file cut inside it.
+JUNK_TOKENS = ("x", "1_0", "\uff11")
+MUTATIONS = JUNK_TOKENS + ("1e500", "nan", "drop", "add", "blank", "comment", "cut")
+
+
+def _mutate(lines, at, mutation, rng):
+    """`lines` with line `at` mutated as MUTATIONS names."""
+    fields = lines[at].split()
+    column = int(rng.integers(len(fields)))
+    if mutation in ("blank", "comment"):
+        return lines[:at] + ["\n" if mutation == "blank" else "# note\n"] + lines[at:]
+    if mutation == "cut":
+        return lines[:at] + [lines[at][: int(rng.integers(1, len(lines[at]) - 1))]]
+    if mutation == "drop":
+        del fields[column]
+    elif mutation == "add":
+        fields.insert(column, "0.5")
+    else:
+        fields[column] = mutation
+    return lines[:at] + [" ".join(fields) + "\n"] + lines[at + 1 :]
+
+
+def _expected_table(lines, format, header, count, width):
+    """np.loadtxt of the body lines that survive, if the format accepts them
+    as a cloud of finite values, else None."""
+    if format == "xyz":
+        body = [line for line in lines if line.strip()[:1] not in ("", "#")]
+    else:
+        body = lines[header : header + count]
+        if len(body) < count:
+            return None
+    try:
+        table = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if len(table) != len(body) or table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return table
+
+
+class TestReaderFuzz:
+    def test_one_mutated_body_line(self, tmp_path):
+        """Seeded fuzz in the style of criterion 1. Each case writes a small
+        cloud, mutates one body line and reads it back under warnings-as-errors:
+        the read gives np.loadtxt's values of the surviving body lines or
+        raises ValueError (CloudIOError is one), and a junk token is reported
+        as a malformed number at its own line."""
+        cases = [(m, f) for m in MUTATIONS for f in ("xyz", "ply-ascii")] * 12
+        for seed, (mutation, format) in enumerate(cases):
+            rng = np.random.default_rng(seed)
+            count = int(rng.integers(2, 8))
+            normals = None
+            if rng.random() < 0.5:
+                normals = rng.normal(size=(count, 3))
+                normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+            path = tmp_path / f"case{seed}"
+            write_cloud(PointCloud(rng.normal(size=(count, 3)), normals), path, format)
+            lines = path.read_text().splitlines(keepends=True)
+            header = len(lines) - count
+            at = header + int(rng.integers(count))
+            lines = _mutate(lines, at, mutation, rng)
+            path.write_text("".join(lines))
+            width = 3 if normals is None else 6
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = _expected_table(lines, format, header, count, width)
+                if table is None:
+                    with pytest.raises(ValueError) as err:
+                        read_cloud(path, format)
+                    if mutation in JUNK_TOKENS:
+                        assert str(err.value) == f"{path}:{at + 1}: malformed number"
+                    continue
+                cloud = read_cloud(path, format)
+            assert mutation not in JUNK_TOKENS + ("1e500", "nan", "drop", "add")
+            assert np.array_equal(cloud.points, table[:, :3])
+            if normals is None:
+                assert cloud.normals is None
+            else:
+                want = table[:, 3:] / np.linalg.norm(table[:, 3:], axis=1, keepdims=True)
+                assert np.allclose(cloud.normals, want, rtol=0.0, atol=1e-15)
 
 
 class TestPlyHeaderErrors:
@@ -518,16 +639,25 @@ class TestCli:
         assert len(written["filter"]) == len(clean)
         assert written["filter"] == written["normals"]
 
-    @pytest.mark.parametrize("command", ["normals", "filter"])
+    @pytest.mark.parametrize("command", ["normals", "filter", "noise", "shape", "metrics"])
     def test_read_and_write_errors_name_their_stage(self, tmp_path, capsys, command):
         src = tmp_path / "s.xyz"
         write_cloud(PointCloud(make_shape("plane", 8).points), src)
-        missing = tmp_path / "missing.xyz"
-        assert main([command, "--input", str(missing), "--output", str(tmp_path / "o.xyz")]) == 1
-        assert capsys.readouterr().err.startswith("error [read]: ")
-        unwritable = tmp_path / "no-such-dir" / "o.xyz"
-        assert main([command, "--input", str(src), "--output", str(unwritable)]) == 1
-        assert capsys.readouterr().err.startswith("error [write]: ")
+
+        def argv(input, output):
+            if command == "shape":
+                return ["shape", "--kind", "plane", "--output", str(output)]
+            if command == "metrics":
+                return ["metrics", "--input", str(input), "--gt", str(src), "--report", str(output)]
+            extra = ["--level", "0.01"] if command == "noise" else []
+            return [command, "--input", str(input), "--output", str(output), *extra]
+
+        if command != "shape":
+            assert main(argv(tmp_path / "missing.xyz", tmp_path / "o.xyz")) == 1
+            assert capsys.readouterr().err.startswith("error [read]: ")
+        write_stage = "report" if command == "metrics" else "write"
+        assert main(argv(src, tmp_path / "no-such-dir" / "o.xyz")) == 1
+        assert capsys.readouterr().err.startswith(f"error [{write_stage}]: ")
 
     def test_nonfinite_mu_rejected(self, tmp_path, capsys):
         src = tmp_path / "s.xyz"
@@ -537,6 +667,15 @@ class TestCli:
         ])
         assert code == 1
         assert capsys.readouterr().err == "error [filter]: mu must be finite and non-negative\n"
+        assert not (tmp_path / "o.xyz").exists()
+
+    @pytest.mark.parametrize("h", ["inf", "auto:inf"])
+    def test_infinite_h_rejected(self, tmp_path, capsys, h):
+        src = tmp_path / "s.xyz"
+        write_cloud(make_shape("plane", 8), src)
+        code = main(["filter", "--input", str(src), "--output", str(tmp_path / "o.xyz"), "--h", h])
+        assert code == 1
+        assert capsys.readouterr().err == "error [filter]: h_value must be finite and positive\n"
         assert not (tmp_path / "o.xyz").exists()
 
     @pytest.mark.parametrize("command", ["normals", "filter"])

@@ -260,9 +260,10 @@ class TestBilateralFilterNormals:
             bilateral_filter_normals(cloud, cloud.normals, BilateralParams(k=10))
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            BilateralParams(sigma_r=0.0)
+        for sigma in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sigma_r"):
+                BilateralParams(sigma_r=sigma)
+            with pytest.raises(ValueError, match="sigma_s"):
+                BilateralParams(sigma_s=sigma)
         with pytest.raises(ValueError):
             BilateralParams(iterations=0)
-        with pytest.raises(ValueError):
-            BilateralParams(sigma_s=-1.0)
