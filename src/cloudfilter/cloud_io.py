@@ -31,7 +31,14 @@ def _finalize(points, normals, path):
         bad = np.flatnonzero(~np.isfinite(normals).all(axis=1))
         if len(bad):
             raise CloudIOError(f"{path}: non-finite normal at point {bad[0]}")
-        norms = np.linalg.norm(normals, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(normals, axis=1)
+        # A finite row whose squares overflow is first divided by its largest
+        # component; every other row keeps its bits.
+        huge = np.flatnonzero(np.isinf(norms))
+        if len(huge):
+            normals[huge] /= np.abs(normals[huge]).max(axis=1, keepdims=True)
+            norms[huge] = np.linalg.norm(normals[huge], axis=1)
         bad = np.flatnonzero(norms < 1e-12)
         if len(bad):
             raise CloudIOError(f"{path}: zero normal at point {bad[0]}")

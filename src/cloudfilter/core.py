@@ -10,6 +10,10 @@ from scipy.spatial import cKDTree
 
 UNIT_NORM_TOL = 1e-6
 
+# Integer type of neighbour indices. int32 halves every (M, k) neighbour
+# table against intp and caps a cloud at 2**31 - 1 points.
+INDEX_DTYPE = np.int32
+
 
 def _usable_cpus():
     try:
@@ -139,12 +143,21 @@ class NeighborIndex:
     sorted, and a row whose tie group may extend past the k-th neighbor is
     re-queried with a doubling k until the query returns a point farther
     than the k-th distance, which proves the whole tie group is covered.
+
+    Neighbour indices are INDEX_DTYPE (int32), so an (M, k) table takes
+    4 M k bytes, and a cloud may hold at most 2**31 - 1 points.
     """
 
     def __init__(self, points):
         pts = as_points(points)
         if len(pts) == 0:
             raise ValueError("empty cloud")
+        limit = np.iinfo(INDEX_DTYPE).max
+        if len(pts) > limit:
+            raise ValueError(
+                f"cloud has {len(pts)} points; neighbour indices are "
+                f"{np.dtype(INDEX_DTYPE).name}, which hold at most {limit}"
+            )
         self._points = pts.copy()
         self._tree = cKDTree(self._points)
 
@@ -160,7 +173,8 @@ class NeighborIndex:
         return view
 
     def k_nearest(self, query_idx, k):
-        """Indices of the k nearest points to point `query_idx` (self excluded)."""
+        """INDEX_DTYPE indices of the k nearest points to point `query_idx`
+        (self excluded)."""
         m = self.count
         if not 0 <= query_idx < m:
             raise IndexError("query index out of range")
@@ -179,10 +193,11 @@ class NeighborIndex:
                 break
             kq *= 2
         order = np.lexsort((j, d))
-        return j[order[:k]]
+        return j[order[:k]].astype(INDEX_DTYPE)
 
     def k_nearest_all(self, k):
-        """(M, k) neighbor indices for every point, same tie rule as k_nearest.
+        """(M, k) INDEX_DTYPE neighbor indices for every point, same tie rule
+        as k_nearest.
 
         The rows are queried in blocks, so the query's temporaries are
         bounded per worker; only the (M, k) output spans the whole cloud.
@@ -190,7 +205,7 @@ class NeighborIndex:
         m = self.count
         _check_k(k, m)
         kq = min(k + 2, m)
-        out = np.empty((m, k), dtype=np.intp)
+        out = np.empty((m, k), dtype=INDEX_DTYPE)
         suspect = np.zeros(m, dtype=bool)
 
         def block(rows):

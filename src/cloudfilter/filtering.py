@@ -93,17 +93,24 @@ def data_energy(normals, index, k):
     pts = index.points
     normals = np.ascontiguousarray(normals, dtype=np.float64)
     nbrs = index.k_nearest_all(k)
-    sq_j = np.empty(nbrs.shape)  # squared projections onto n_j
-    sq_i = np.empty(nbrs.shape)  # and onto n_i
+    # One (M, k) buffer holds the squared projections onto n_j, then those
+    # onto n_i; each np.sum runs over the whole array, so the bits do not
+    # depend on the block size.
+    sq = np.empty(nbrs.shape)
 
-    def block(rows):
+    def onto_j(rows):
         patch = nbrs[rows]
         diff = pts[rows, None, :] - pts[patch]  # p_i - p_j
-        sq_j[rows] = np.square(np.einsum("ikj,ikj->ik", diff, normals[patch]))
-        sq_i[rows] = np.square(np.einsum("ikj,ij->ik", diff, normals[rows]))
+        sq[rows] = np.square(np.einsum("ikj,ikj->ik", diff, normals[patch]))
 
-    for_row_blocks(block, len(pts))
-    return float(np.sum(sq_j) + np.sum(sq_i))
+    def onto_i(rows):
+        diff = pts[rows, None, :] - pts[nbrs[rows]]  # p_i - p_j
+        sq[rows] = np.square(np.einsum("ikj,ij->ik", diff, normals[rows]))
+
+    for_row_blocks(onto_j, len(pts))
+    energy_j = np.sum(sq)
+    for_row_blocks(onto_i, len(pts))
+    return float(energy_j + np.sum(sq))
 
 
 def update_point(i, points, normals, patch, params, h):

@@ -2,7 +2,7 @@
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import (
     breadth_first_order,
     connected_components,
@@ -119,9 +119,14 @@ def orient_normals(cloud, normals):
         weights[block] = np.maximum(1.0 - np.abs(dots), _MIN_WEIGHT).reshape(-1, k)
 
     for_row_blocks(edge_weights, m)
-    rows = np.repeat(np.arange(m), k)
-    cols = nbrs.ravel()
-    graph = coo_matrix((weights.ravel(), (rows, cols)), shape=(m, m)).tocsr()
+    # Row i of the neighbour table is row i of the graph, k entries each.
+    graph = csr_matrix(
+        (weights.ravel(), nbrs.ravel(), np.arange(0, m * k + 1, k)), shape=(m, m)
+    )
+    del nbrs, weights
+    # Sorted column indices, as a COO build gives them: the MST breaks
+    # equal-weight ties by their order.
+    graph.sort_indices()
     graph = graph.maximum(graph.T)
 
     n_components, labels = connected_components(graph, directed=False)

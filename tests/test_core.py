@@ -227,6 +227,29 @@ class TestNeighborIndex:
         with pytest.raises(ValueError):
             index.points[0, 0] = 99.0
 
+    @pytest.mark.parametrize("reversed_ties", [False, True])
+    def test_indices_are_index_dtype(self, reversed_ties):
+        # the reversed ties send rows down the lexsort and k_nearest paths
+        pts = permuted_grid(12, seed=5)
+        index = neighbor_index(pts, reversed_ties)
+        all_nbrs = index.k_nearest_all(10)
+        assert all_nbrs.dtype == core.INDEX_DTYPE
+        for i in range(len(pts)):
+            row = index.k_nearest(i, 10)
+            assert row.dtype == core.INDEX_DTYPE
+            assert list(row) == list(all_nbrs[i]) == list(brute_force_knn(pts, i, 10))
+
+    def test_cloud_beyond_index_dtype_rejected(self, monkeypatch):
+        monkeypatch.setattr(core, "INDEX_DTYPE", np.int8)
+        pts = np.random.default_rng(1).random((200, 3))
+        with pytest.raises(ValueError, match="int8, which hold at most 127"):
+            build_neighbor_index(pts)
+        # the largest cloud the type can index still works
+        index = build_neighbor_index(pts[:127])
+        all_nbrs = index.k_nearest_all(5)
+        assert all_nbrs.dtype == np.int8
+        assert list(all_nbrs[126]) == list(brute_force_knn(pts[:127], 126, 5))
+
 
 class TestNormalizeCloud:
     def test_already_normalized_is_identity(self):

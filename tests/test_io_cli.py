@@ -162,6 +162,9 @@ def _ply(rows, properties="x y z", count=None, after_vertex=()):
 
 
 ERR = CloudIOError
+# (1, 1, 0) divided by its norm, the reader's value for a normal (h, h, 0)
+# whose squares overflow
+HALF_ROOT = 1 / np.sqrt(2.0)
 
 # (case id, format, file text, outcome). The outcome is the exact result of
 # read_cloud: (points, normals) as lists, or (exception type, message) with
@@ -205,6 +208,8 @@ PARITY_CASES = [
     ("xyz-overflow", "xyz", "0 0 1e500\n", (ValueError, "invalid coordinate")),
     ("xyz-overflow-normal", "xyz", "0 0 0 1e500 0 0\n",
      (ERR, "{path}: non-finite normal at point 0")),
+    ("xyz-huge-normal", "xyz", "0 0 0 1e300 1e300 0\n1 0 0 0 0 2\n",
+     ([[0, 0, 0], [1, 0, 0]], [[HALF_ROOT, HALF_ROOT, 0], [0, 0, 1]])),
     ("xyz-subnormal-and-signed-zero", "xyz", "4.9e-324 -1e-310 -0.0\n1e-400 +1. -.5\n",
      ([[5e-324, -1e-310, -0.0], [0, 1, -0.5]], None)),
     ("xyz-malformed", "xyz", "1 2 x\n", (ERR, "{path}:1: malformed number")),
@@ -243,6 +248,9 @@ PARITY_CASES = [
      (ERR, "{path}:10: malformed number")),
     ("ply-underscore", "ply-ascii", _ply(["1_0 0 0"]), (ERR, "{path}:9: malformed number")),
     ("ply-nan", "ply-ascii", _ply(["nan 0 0"]), (ValueError, "invalid coordinate")),
+    ("ply-huge-normal", "ply-ascii",
+     _ply(["0 0 0 1e300 1e300 0", "1 0 0 0 0 2"], "x y z nx ny nz"),
+     ([[0, 0, 0], [1, 0, 0]], [[HALF_ROOT, HALF_ROOT, 0], [0, 0, 1]])),
     ("ply-crlf", "ply-ascii", _ply(["0 0 0", "1 2 3"]).replace("\n", "\r\n"),
      ([[0, 0, 0], [1, 2, 3]], None)),
     ("ply-zero-vertices", "ply-ascii", _ply([], count=0), (ERR, "{path}: empty cloud")),

@@ -251,8 +251,9 @@ def traced_peak(compute):
 
 
 class TestQueryMemory:
-    """The whole-cloud queries on 20,000 points under 2 workers and the
-    default block size hold no whole-cloud temporaries."""
+    """The whole-cloud queries and the energy and orientation stages on
+    20,000 points under 2 workers and the default block size hold no
+    whole-cloud temporaries beyond the arrays they return or need."""
 
     M = 20_000
 
@@ -271,7 +272,7 @@ class TestQueryMemory:
         # per worker, one query block (at most 4 * BLOCK_ROWS rows) of
         # distances, indices and test masks
         block_bytes = core.WORKERS * 4 * core.BLOCK_ROWS * (k + 2) * 32
-        out_bytes = self.M * k * np.dtype(np.intp).itemsize
+        out_bytes = self.M * k * np.dtype(core.INDEX_DTYPE).itemsize
         assert traced_peak(lambda: index.k_nearest_all(k)) < out_bytes + block_bytes
 
     def test_kth_and_nearest_distances(self, sphere):
@@ -290,15 +291,35 @@ class TestQueryMemory:
         def stop(*args, **kwargs):
             raise GraphBuild
 
-        monkeypatch.setattr("cloudfilter.normals.coo_matrix", stop)
+        monkeypatch.setattr("cloudfilter.normals.csr_matrix", stop)
         m, k = self.M, ORIENT_GRAPH_K
 
         def orient():
             with pytest.raises(GraphBuild):
                 orient_normals(sphere, sphere.normals)
 
-        # normals copy and indexed points, then neighbour lists, edge
-        # weights and edge row ids
+        # normals copy and indexed points, then room for three (m, k) 8-byte
+        # arrays; the neighbour lists and edge weights take less
         needed = 2 * m * 3 * 8 + 3 * m * k * 8
         edge_vectors = m * k * 3 * 8  # one (8m, 3) array
         assert traced_peak(orient) < needed + edge_vectors
+
+    def test_data_energy_holds_one_projection_buffer(self, sphere):
+        index = build_neighbor_index(sphere.points)
+        m, k = self.M, 30
+        table = m * k * np.dtype(core.INDEX_DTYPE).itemsize
+        buffer = m * k * 8  # one (M, k) float64 array of squared projections
+        # per worker, four (BLOCK_ROWS, k, 3) float64 arrays; the query's own
+        # blocks (see test_k_nearest_all) fit inside the buffer and these
+        blocks = core.WORKERS * 4 * core.BLOCK_ROWS * k * 3 * 8
+        peak = traced_peak(lambda: data_energy(sphere.normals, index, k))
+        assert peak < table + buffer + blocks
+
+    def test_orient_normals_whole_call(self, sphere):
+        m, k = self.M, ORIENT_GRAPH_K
+        # normals copy and indexed points; then two symmetric graphs of up to
+        # 2 m k entries (float64 weight, int32 column) at once, the graph and
+        # the spanning tree's working copy; and up to 16 values per node for
+        # labels, index pointers and the breadth-first arrays
+        needed = 2 * m * 3 * 8 + 2 * (2 * m * k) * (8 + 4) + m * 16 * 8
+        assert traced_peak(lambda: orient_normals(sphere, sphere.normals)) < needed
