@@ -64,10 +64,10 @@ def theta(r, h):
     return np.exp(-(r**2) / (h / 2.0) ** 2)
 
 
-def beta(r, h, epsilon_r):
+def beta(r, h):
     """Repulsion kernel theta(r)/r with the r -> 0 singularity clamped at
-    epsilon_r. The derivative factor |d(-r)/dr| is 1."""
-    rc = np.maximum(r, epsilon_r)
+    EPSILON_R. The derivative factor |d(-r)/dr| is 1."""
+    rc = np.maximum(r, EPSILON_R)
     return theta(rc, h) / rc
 
 
@@ -114,70 +114,53 @@ def data_energy(normals, index, k):
 
 
 def update_point(i, points, normals, patch, params, h):
-    """Updated position of point i from its patch (reference scalar path).
+    """Updated position of point i from its patch: one row of the kernel
+    filter_iteration runs (see _update_rows)."""
+    rows = np.array([i])
+    return _update_rows(points, normals, rows, np.asarray(patch, np.intp)[None], params, h)[0]
 
-    Data step: 1/(3|patch|) times the sum of p_j - p_i projected onto both
+
+def _update_rows(points, normals, rows, patches, params, h):
+    """Updated positions of points[rows], row r moved by its patch
+    patches[r].
+
+    Data step: 1/(3k) times the sum of p_j - p_i projected onto both
     endpoint normals. Repulsion step: mu times the beta-weighted mean of the
     components t_j of p_i - p_j orthogonal to n_j; a patch-constant weight
     on top of beta would cancel (see the module docstring).
     """
-    patch = np.asarray(patch, dtype=np.intp)
-    p_i = points[i]
-    n_i = normals[i]
-    d = points[patch] - p_i  # p_j - p_i
-    n_j = normals[patch]
+    gamma = 1.0 / (3.0 * patches.shape[1])
+    p = points[rows]
+    d = points[patches] - p[:, None, :]  # p_j - p_i
+    n_j = normals[patches]
+    n_i = normals[rows, None, :]
 
-    gamma = 1.0 / (3.0 * len(patch))
-    proj_j = np.einsum("kj,kj->k", d, n_j)
-    proj_i = d @ n_i
-    along_j = proj_j[:, None] * n_j
-    data_step = gamma * (along_j + proj_i[:, None] * n_i).sum(axis=0)
-
+    proj_j = np.einsum("ikj,ikj->ik", d, n_j)
+    proj_i = np.einsum("ikj,ikj->ik", d, n_i)
+    along_j = proj_j[:, :, None] * n_j
+    data_step = gamma * (along_j.sum(axis=1) + (proj_i[:, :, None] * n_i).sum(axis=1))
     if params.mu == 0.0:
-        return p_i + data_step
+        return p + data_step
 
     tangential = along_j - d  # p_i - p_j minus its n_j component
-    b = beta(np.linalg.norm(tangential, axis=1), h, EPSILON_R)
-    denom = b.sum()
-    if denom <= 0:  # all theta weights underflowed; no effective repulsion
-        return p_i + data_step
-    repulsion_step = params.mu * (b[:, None] * tangential).sum(axis=0) / denom
-    return p_i + data_step + repulsion_step
+    b = beta(np.linalg.norm(tangential, axis=2), h)
+    denom = b.sum(axis=1)[:, None]
+    # theta can underflow to 0 for isolated points: no repulsion there
+    repulsion_step = np.divide(
+        params.mu * (b[:, :, None] * tangential).sum(axis=1),
+        denom,
+        out=np.zeros_like(p),
+        where=denom > 0,
+    )
+    return p + data_step + repulsion_step
 
 
 def _update_all(points, normals, nbrs, params, h):
-    """Vectorized Jacobi update of all positions (matches update_point),
-    computed in row blocks."""
+    """Jacobi update of all positions, computed in row blocks."""
     out = np.empty_like(points)
-    k = nbrs.shape[1]
-    gamma = 1.0 / (3.0 * k)
 
     def block(rows):
-        p = points[rows]
-        patch = nbrs[rows]
-        d = points[patch] - p[:, None, :]  # p_j - p_i
-        n_j = normals[patch]
-        n_i = normals[rows, None, :]
-
-        proj_j = np.einsum("ikj,ikj->ik", d, n_j)
-        proj_i = np.einsum("ikj,ikj->ik", d, n_i)
-        along_j = proj_j[:, :, None] * n_j
-        data_step = gamma * (along_j.sum(axis=1) + (proj_i[:, :, None] * n_i).sum(axis=1))
-        if params.mu == 0.0:
-            out[rows] = p + data_step
-            return
-
-        tangential = along_j - d  # p_i - p_j minus its n_j component
-        b = beta(np.linalg.norm(tangential, axis=2), h, EPSILON_R)
-        denom = b.sum(axis=1)[:, None]
-        # theta can underflow to 0 for isolated points: no repulsion there
-        repulsion_step = np.divide(
-            params.mu * (b[:, :, None] * tangential).sum(axis=1),
-            denom,
-            out=np.zeros_like(p),
-            where=denom > 0,
-        )
-        out[rows] = p + data_step + repulsion_step
+        out[rows] = _update_rows(points, normals, rows, nbrs[rows], params, h)
 
     for_row_blocks(block, len(points))
     return out

@@ -7,8 +7,6 @@ from scipy.spatial import cKDTree
 from . import core
 from .core import as_points
 
-MSE_VARIANTS = ("described", "printed")
-
 
 @dataclass
 class MetricReport:
@@ -26,24 +24,21 @@ class MetricReport:
         )
 
 
-def _check_mse_args(a, b, m, variant):
+def _check_mse_args(a, b, m):
     if m < 1:
         raise ValueError("m must be >= 1")
     if len(a) < m:
         raise ValueError("too few ground-truth points")
     if len(b) == 0:
         raise ValueError("empty point set")
-    if variant not in MSE_VARIANTS:
-        raise ValueError("unknown mse variant")
 
 
 def _chamfer(d_ab, d_ba):
     return float(np.mean(d_ab**2) + np.mean(d_ba**2))
 
 
-def _mse(dist, a, b, m, variant):
-    denom = len(a) if variant == "printed" else len(b)
-    return float(np.sum(dist**2)) / (denom * m)
+def _mse(dist, b, m):
+    return float(np.sum(dist**2)) / (len(b) * m)
 
 
 def chamfer_distance(s1, s2):
@@ -57,22 +52,19 @@ def chamfer_distance(s1, s2):
     return _chamfer(d_ab, d_ba)
 
 
-def mean_square_error(s1, s2, m=10, variant="described"):
+def mean_square_error(s1, s2, m=10):
     """Mean squared distance from each predicted point in s2 to its m
-    nearest ground-truth points in s1.
-
-    variant="described" (default) averages over the predicted set:
-    1/(|S2| m) sum_y sum_{x in NN_m(y)} |x - y|^2. variant="printed"
-    replaces the 1/|S2| prefactor with 1/|S1|.
+    nearest ground-truth points in s1, averaged over the predicted set:
+    1/(|S2| m) sum_y sum_{x in NN_m(y)} |x - y|^2.
     """
     a = as_points(s1)
     b = as_points(s2)
-    _check_mse_args(a, b, m, variant)
+    _check_mse_args(a, b, m)
     dist, _ = cKDTree(a).query(b, k=m, workers=core.WORKERS)
-    return _mse(dist.reshape(len(b), m), a, b, m, variant)
+    return _mse(dist.reshape(len(b), m), b, m)
 
 
-def evaluate(ground_truth, predicted, m=10, variant="described"):
+def evaluate(ground_truth, predicted, m=10):
     """Full metric report for a predicted set against ground truth.
 
     Equal to the separate chamfer_distance and mean_square_error calls, with
@@ -83,13 +75,13 @@ def evaluate(ground_truth, predicted, m=10, variant="described"):
     b = as_points(predicted)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty point set")
-    _check_mse_args(a, b, m, variant)
+    _check_mse_args(a, b, m)
     d_ab, _ = cKDTree(b).query(a, workers=core.WORKERS)
     dist, _ = cKDTree(a).query(b, k=m, workers=core.WORKERS)
     dist = dist.reshape(len(b), m)
     return MetricReport(
         chamfer=_chamfer(d_ab, dist[:, 0]),
-        mse=_mse(dist, a, b, m, variant),
+        mse=_mse(dist, b, m),
         s1_count=len(a),
         s2_count=len(b),
     )

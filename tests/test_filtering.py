@@ -42,12 +42,12 @@ class TestKernels:
         assert np.all(np.diff(vals) < 0)
 
     def test_beta_clamps_small_radius(self):
-        eps = 1e-8
-        assert beta(0.0, 1.0, eps) == pytest.approx(theta(eps, 1.0) / eps)
-        assert beta(eps / 2, 1.0, eps) == beta(0.0, 1.0, eps)
+        eps = EPSILON_R
+        assert beta(0.0, 1.0) == pytest.approx(theta(eps, 1.0) / eps)
+        assert beta(eps / 2, 1.0) == beta(0.0, 1.0)
 
     def test_beta_analytic(self):
-        assert beta(0.5, 1.0, 1e-8) == pytest.approx(np.exp(-1.0) / 0.5)
+        assert beta(0.5, 1.0) == pytest.approx(np.exp(-1.0) / 0.5)
 
 
 class TestSupportRadius:
@@ -128,19 +128,18 @@ class TestUpdatePoint:
         assert np.allclose(new, points[0])  # coplanar, so data step is zero too
         assert np.array_equal(_update_all(points, normals, np.array([[1], [0]]), params, 1e-3), points)
 
-    def test_vectorized_matches_scalar(self):
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_one_row_matches_kernel(self, mu):
         rng = np.random.default_rng(31)
         pts = rng.random((80, 3))
         normals = rng.normal(size=(80, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        params = FilterParams(k=8, mu=0.3)
-        index = build_neighbor_index(pts)
-        nbrs = index.k_nearest_all(8)
+        params = FilterParams(k=8, mu=mu)
+        nbrs = build_neighbor_index(pts).k_nearest_all(8)
         h = resolve_support_radius(params, pts)
-        fast = _update_all(pts, normals, nbrs, params, h)
+        blocked = _update_all(pts, normals, nbrs, params, h)
         for i in range(80):
-            slow = update_point(i, pts, normals, nbrs[i], params, h)
-            assert np.allclose(fast[i], slow, rtol=1e-12, atol=1e-14)
+            assert np.array_equal(update_point(i, pts, normals, nbrs[i], params, h), blocked[i])
 
 
 def brute_force_weighted_update(points, normals, nbrs, mu, h, epsilon_r):

@@ -10,10 +10,9 @@ def brute_force_chamfer(a, b):
     return np.mean(d_ab**2) + np.mean(d_ba**2)
 
 
-def brute_force_mse(a, b, m, variant):
+def brute_force_mse(a, b, m):
     d = np.sort(np.linalg.norm(b[:, None, :] - a[None, :, :], axis=2), axis=1)[:, :m]
-    denom = len(a) if variant == "printed" else len(b)
-    return np.sum(d**2) / (denom * m)
+    return np.sum(d**2) / (len(b) * m)
 
 
 class TestChamfer:
@@ -54,31 +53,18 @@ class TestMeanSquareError:
         b = np.array([[1, 0, 0], [10, 2, 0.0]])
         assert mean_square_error(a, b, m=1) == pytest.approx((1.0 + 4.0) / 2.0)
 
-    @pytest.mark.parametrize("variant", ["described", "printed"])
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_brute_force(self, seed, variant):
+    def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed + 100)
         a = rng.random((rng.integers(12, 80), 3))
         b = rng.random((rng.integers(5, 80), 3))
-        assert mean_square_error(a, b, m=10, variant=variant) == pytest.approx(
-            brute_force_mse(a, b, 10, variant), rel=1e-12
+        assert mean_square_error(a, b, m=10) == pytest.approx(
+            brute_force_mse(a, b, 10), rel=1e-12
         )
-
-    def test_variant_relation(self):
-        rng = np.random.default_rng(7)
-        a, b = rng.random((40, 3)), rng.random((25, 3))
-        described = mean_square_error(a, b, m=5, variant="described")
-        printed = mean_square_error(a, b, m=5, variant="printed")
-        assert described * len(b) == pytest.approx(printed * len(a))
 
     def test_too_few_ground_truth_rejected(self):
         with pytest.raises(ValueError, match="too few"):
             mean_square_error([[0, 0, 0.0]], [[1, 1, 1.0]], m=10)
-
-    def test_bad_variant_rejected(self):
-        pts = np.random.default_rng(0).random((20, 3))
-        with pytest.raises(ValueError, match="variant"):
-            mean_square_error(pts, pts, variant="other")
 
 
 class TestEvaluate:
@@ -92,15 +78,14 @@ class TestEvaluate:
         assert report.mse == pytest.approx(mean_square_error(a, b))
 
     @pytest.mark.parametrize("m", [1, 3, 10])
-    @pytest.mark.parametrize("variant", ["described", "printed"])
-    def test_equals_separate_calls_exactly(self, m, variant):
+    def test_equals_separate_calls_exactly(self, m):
         rng = np.random.default_rng(m)
         a = rng.random((400, 3))
         b = np.vstack([a[:50], rng.random((300, 3)), a[:5]])  # exact and tied matches
         for pred in (b, b[:1]):
-            report = evaluate(a, pred, m=m, variant=variant)
+            report = evaluate(a, pred, m=m)
             assert report.chamfer == chamfer_distance(a, pred)
-            assert report.mse == mean_square_error(a, pred, m=m, variant=variant)
+            assert report.mse == mean_square_error(a, pred, m=m)
 
     def test_text_report(self):
         report = MetricReport(chamfer=0.5, mse=0.25, s1_count=3, s2_count=4)

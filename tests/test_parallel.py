@@ -251,8 +251,8 @@ def traced_peak(compute):
 
 
 class TestQueryMemory:
-    """The whole-cloud queries and the energy and orientation stages on
-    20,000 points under 2 workers and the default block size hold no
+    """The whole-cloud queries and the update, energy and orientation stages
+    on 20,000 points under 2 workers and the default block size hold no
     whole-cloud temporaries beyond the arrays they return or need."""
 
     M = 20_000
@@ -298,11 +298,26 @@ class TestQueryMemory:
             with pytest.raises(GraphBuild):
                 orient_normals(sphere, sphere.normals)
 
-        # normals copy and indexed points, then room for three (m, k) 8-byte
-        # arrays; the neighbour lists and edge weights take less
-        needed = 2 * m * 3 * 8 + 3 * m * k * 8
-        edge_vectors = m * k * 3 * 8  # one (8m, 3) array
-        assert traced_peak(orient) < needed + edge_vectors
+        # normals copy and indexed points, the int32 neighbour table and the
+        # float64 edge weights; per worker, the repeated and gathered
+        # (BLOCK_ROWS * k, 3) normals and the (BLOCK_ROWS * k,) dots and weights
+        # take three blocks, with a fourth to spare
+        arrays = 2 * m * 3 * 8 + m * k * np.dtype(core.INDEX_DTYPE).itemsize + m * k * 8
+        blocks = core.WORKERS * 4 * core.BLOCK_ROWS * k * 3 * 8
+        assert traced_peak(orient) < arrays + blocks
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_update_all(self, sphere, mu):
+        m, k = self.M, 30
+        nbrs = build_neighbor_index(sphere.points).k_nearest_all(k)
+        params = FilterParams(k=k, mu=mu)
+        out = m * 3 * 8  # the (M, 3) float64 positions returned
+        # per worker, the (BLOCK_ROWS, k, 3) float64 arrays d, n_j, along_j
+        # and tangential, one product temporary and four (BLOCK_ROWS, k)
+        # projections, norms and weights: under seven such blocks
+        blocks = core.WORKERS * 7 * core.BLOCK_ROWS * k * 3 * 8
+        peak = traced_peak(lambda: _update_all(sphere.points, sphere.normals, nbrs, params, 0.3))
+        assert peak < out + blocks
 
     def test_data_energy_holds_one_projection_buffer(self, sphere):
         index = build_neighbor_index(sphere.points)
