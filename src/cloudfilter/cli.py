@@ -19,11 +19,11 @@ from .pipeline import (
 
 def _parse_h(text):
     """--h value: a fixed support radius, or "auto" / "auto:MULT" for MULT
-    (default 4) times the mean k-th-neighbor distance."""
+    (default FilterParams.h_value) times the mean k-th-neighbor distance."""
     mode, sep, mult = text.partition(":")
     try:
         if mode == "auto":
-            return "auto", float(mult) if mult else 4.0
+            return "auto", float(mult) if mult else FilterParams.h_value
         if not sep:
             return "fixed", float(text)
     except ValueError:
@@ -34,24 +34,29 @@ def _parse_h(text):
 def _add_normals_flags(sub):
     sub.add_argument("--input", required=True)
     sub.add_argument("--output", required=True)
-    sub.add_argument("--format", choices=cloud_io.FORMATS, default="xyz")
-    sub.add_argument("--normals", choices=("file", "pca"), default="pca")
-    sub.add_argument("--pca-k", type=int, default=12)
-    sub.add_argument("--bilateral-sigma-s", type=float, default=None)
-    sub.add_argument("--bilateral-sigma-r", type=float, default=0.3)
-    sub.add_argument("--bilateral-iters", type=int, default=3)
-    sub.add_argument("--bilateral-k", type=int, default=30)
+    sub.add_argument("--format", choices=cloud_io.FORMATS, default=RunConfig.format)
+    sub.add_argument("--normals", choices=("file", "pca"), default=RunConfig.normal_source)
+    sub.add_argument("--pca-k", type=int, default=RunConfig.pca_k)
+    sub.add_argument("--bilateral-sigma-s", type=float, default=BilateralParams.sigma_s)
+    sub.add_argument("--bilateral-sigma-r", type=float, default=BilateralParams.sigma_r)
+    sub.add_argument("--bilateral-iters", type=int, default=BilateralParams.iterations)
+    sub.add_argument("--bilateral-k", type=int, default=BilateralParams.k)
 
 
 def _add_filter_flags(sub):
     _add_normals_flags(sub)
-    sub.add_argument("--k", type=int, default=30)
-    sub.add_argument("--mu", type=float, default=0.3)
-    sub.add_argument("--iters", type=int, default=5)
-    sub.add_argument("--h", type=_parse_h, default="auto:4", help='fixed value or "auto:MULT"')
-    sub.add_argument("--gt", default=None)
-    sub.add_argument("--report", default=None)
-    sub.add_argument("--diagnostics", default=None)
+    sub.add_argument("--k", type=int, default=FilterParams.k)
+    sub.add_argument("--mu", type=float, default=FilterParams.mu)
+    sub.add_argument("--iters", type=int, default=FilterParams.t)
+    sub.add_argument(
+        "--h",
+        type=_parse_h,
+        default=(FilterParams.h_mode, FilterParams.h_value),
+        help='fixed value or "auto:MULT"',
+    )
+    sub.add_argument("--gt", default=RunConfig.gt_path)
+    sub.add_argument("--report", default=RunConfig.report_path)
+    sub.add_argument("--diagnostics", default=RunConfig.diagnostics_path)
 
 
 def _bilateral_params(args):

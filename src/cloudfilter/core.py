@@ -32,33 +32,21 @@ WORKERS = _usable_cpus()
 BLOCK_ROWS = 1024
 
 
-def for_row_blocks(fn, m, block_rows=None):
-    """Call fn(rows) for each slice `rows` of `block_rows` (default
-    BLOCK_ROWS) consecutive rows of range(m), on up to WORKERS threads.
+def for_row_blocks(fn, m):
+    """Call fn(rows) for each slice `rows` of BLOCK_ROWS consecutive rows of
+    range(m), on up to WORKERS threads.
 
     Each call must write only its own rows of a preallocated output, so the
     result is the same for any block size and thread count. The pool lives
     for this call only; with one block or one worker the calls run inline.
     """
-    size = BLOCK_ROWS if block_rows is None else block_rows
-    blocks = [slice(s, min(s + size, m)) for s in range(0, m, size)]
+    blocks = [slice(s, min(s + BLOCK_ROWS, m)) for s in range(0, m, BLOCK_ROWS)]
     if WORKERS == 1 or len(blocks) <= 1:
         for rows in blocks:
             fn(rows)
         return
     with ThreadPoolExecutor(min(WORKERS, len(blocks))) as pool:
         list(pool.map(fn, blocks))  # re-raises the first block's exception
-
-
-def _query_block_rows(m):
-    """Rows per block of a whole-cloud k-NN query: range(m) split evenly into
-    a multiple of WORKERS blocks of at most 4 * BLOCK_ROWS rows.
-
-    A query block costs one pool hand-off, which is felt below a few
-    thousand rows, and equal blocks keep every worker busy to the end.
-    """
-    blocks = WORKERS * -(-m // (WORKERS * 4 * BLOCK_ROWS))
-    return -(-m // blocks)
 
 
 def _check_k(k, m):
@@ -82,6 +70,23 @@ def as_points(points):
     return pts
 
 
+def as_normals(normals, count):
+    """Coerce to a C-contiguous float64 (count, 3) array, validating that
+    every row is a finite unit vector (within UNIT_NORM_TOL).
+
+    Every stage that takes normals calls this, so a bad normal fails where
+    it enters, not as a NaN or an index error some stages later.
+    """
+    nrm = np.ascontiguousarray(normals, dtype=np.float64)
+    if nrm.shape != (count, 3):
+        raise ValueError("normals must match points in length")
+    if not np.all(np.isfinite(nrm)):
+        raise ValueError("invalid normal component")
+    if np.any(np.abs(np.linalg.norm(nrm, axis=1) - 1.0) > UNIT_NORM_TOL):
+        raise ValueError("normals must be unit length")
+    return nrm
+
+
 @dataclass
 class PointCloud:
     """Ordered positions with optional parallel unit normals."""
@@ -92,14 +97,7 @@ class PointCloud:
     def __post_init__(self):
         self.points = as_points(self.points)
         if self.normals is not None:
-            self.normals = np.ascontiguousarray(self.normals, dtype=np.float64)
-            if self.normals.shape != self.points.shape:
-                raise ValueError("normals must match points in length")
-            if not np.all(np.isfinite(self.normals)):
-                raise ValueError("invalid normal component")
-            norms = np.linalg.norm(self.normals, axis=1)
-            if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-                raise ValueError("normals must be unit length")
+            self.normals = as_normals(self.normals, len(self.points))
 
     def __len__(self):
         return len(self.points)
@@ -229,7 +227,7 @@ class NeighborIndex:
             if kq < m:
                 suspect[rows.start + slow] = d_sorted[:, k - 1] == d_sorted[:, k]
 
-        for_row_blocks(block, m, _query_block_rows(m))
+        for_row_blocks(block, m)
         # k_nearest is a NeighborIndex method, so it runs on the calling
         # thread, after the blocks, in ascending row order
         for i in np.flatnonzero(suspect):
@@ -238,6 +236,7 @@ class NeighborIndex:
 
     def nearest_distances(self):
         """Distance from every point to its nearest other point."""
+        _check_k(1, self.count)
         dist, _ = self._tree.query(self._points, k=[2], workers=WORKERS)
         return dist[:, 0]
 

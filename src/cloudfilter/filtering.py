@@ -14,7 +14,7 @@ cancels from that ratio, so none is applied.
 import numpy as np
 from dataclasses import dataclass
 
-from .core import PointCloud, build_neighbor_index, for_row_blocks
+from .core import PointCloud, as_normals, build_neighbor_index, for_row_blocks
 
 # Tangential offsets shorter than this are clamped before beta divides by
 # them, so coincident neighbors give a finite weight.
@@ -91,7 +91,7 @@ def data_energy(normals, index, k):
     """Sum over the indexed points and their patches of the squared
     projections of p_i - p_j onto both endpoint normals."""
     pts = index.points
-    normals = np.ascontiguousarray(normals, dtype=np.float64)
+    normals = as_normals(normals, len(pts))
     nbrs = index.k_nearest_all(k)
     # One (M, k) buffer holds the squared projections onto n_j, then those
     # onto n_i; each np.sum runs over the whole array, so the bits do not
@@ -173,12 +173,8 @@ def filter_iteration(cloud, normals, params):
     support radius, updates every point from the pre-iteration snapshot and
     returns the new cloud (normals carried unchanged) plus diagnostics.
     """
-    normals = np.ascontiguousarray(normals, dtype=np.float64)
     pts = cloud.points
-    if normals.shape != pts.shape:
-        raise ValueError("normals must match points in length")
-    if params.k >= len(pts):
-        raise ValueError("k exceeds cloud size")
+    normals = as_normals(normals, len(pts))
     index = build_neighbor_index(pts)
     nbrs = index.k_nearest_all(params.k)
     h = resolve_support_radius(params, pts)

@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import (
     minimum_spanning_tree,
 )
 
-from .core import PointCloud, build_neighbor_index, for_row_blocks
+from .core import as_normals, build_neighbor_index, for_row_blocks
 
 # k-NN graph connectivity used for sign propagation
 ORIENT_GRAPH_K = 8
@@ -101,10 +101,8 @@ def orient_normals(cloud, normals):
     component_count).
     """
     pts = cloud.points
-    normals = np.array(normals, dtype=np.float64)
-    if normals.shape != pts.shape:
-        raise ValueError("normals must match points in length")
     m = len(pts)
+    normals = as_normals(normals, m).copy()  # its signs are flipped in place
     if m == 1:
         return normals, 1
     k = min(ORIENT_GRAPH_K, m - 1)
@@ -171,10 +169,8 @@ def bilateral_filter_normals(cloud, normals, params):
     coincident others, as in an all-coincident cloud).
     """
     pts = cloud.points
-    normals = np.array(normals, dtype=np.float64, order="C")
-    if normals.shape != pts.shape:
-        raise ValueError("normals must match points in length")
     m = len(pts)
+    normals = as_normals(normals, m)
     k = min(params.k, m - 1)
     index = build_neighbor_index(pts)
     nbrs = index.k_nearest_all(k)

@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 from cloudfilter import (
+    BilateralParams,
     CloudTransform,
+    FilterParams,
     PointCloud,
+    bilateral_filter_normals,
     build_neighbor_index,
     core,
+    data_energy,
+    filter_cloud,
     normalize_cloud,
+    orient_normals,
 )
 
 
@@ -70,6 +76,11 @@ class TestNeighborIndex:
         assert index.count == 1
         with pytest.raises(ValueError):
             index.k_nearest(0, 1)
+        # a lone point has no nearest other point, as it has no k-th
+        with pytest.raises(ValueError, match="k exceeds cloud size"):
+            index.nearest_distances()
+        with pytest.raises(ValueError, match="k exceeds cloud size"):
+            index.kth_distances(1)
 
     def test_two_point_symmetry(self):
         index = build_neighbor_index([[0, 0, 0], [1, 0, 0]])
@@ -164,11 +175,11 @@ class TestNeighborIndex:
         index = neighbor_index(pts, reversed_ties=True)
         tree = index._tree
         index.k_nearest_all(6)
-        # one-thread queries of row blocks that cover every row once, then
-        # single-point tie fallbacks
+        # one-thread queries of BLOCK_ROWS-row blocks that cover every row
+        # once, then single-point tie fallbacks
         blocks = [x for x in tree.queried if x.ndim == 2]
         fallbacks = [x for x in tree.queried if x.ndim == 1]
-        assert len(blocks) > 1 and len(blocks) % 3 == 0
+        assert sorted(map(len, blocks)) == [len(pts) % 7] + [7] * (len(pts) // 7)
         assert fallbacks and set(tree.workers) == {1}
         queried = np.concatenate(blocks)
         assert len(queried) == len(pts)
@@ -316,3 +327,53 @@ class TestPointCloud:
     def test_non_unit_normals_rejected(self):
         with pytest.raises(ValueError):
             PointCloud([[0, 0, 0.0]], [[0, 0, 2.0]])
+
+
+def bad_normals(normals, case):
+    """(table, message): `normals` broken one of the four ways the normals
+    contract rules out, and PointCloud's message for it."""
+    if case == "nan-component":
+        nan = normals.copy()
+        nan[5, 1] = np.nan
+        return nan, "invalid normal component"
+    if case == "7-rows-short":
+        return normals[:-7], "normals must match points in length"
+    if case == "7-rows-long":
+        return np.vstack([normals, normals[:7]]), "normals must match points in length"
+    return 2.0 * normals, "normals must be unit length"
+
+
+class TestNormalsContract:
+    """Every stage that takes normals rejects a table PointCloud would
+    reject, with PointCloud's message, before it does any neighbour work."""
+
+    STAGES = {
+        "orient": lambda cloud, normals, index: orient_normals(cloud, normals),
+        "bilateral": lambda cloud, normals, index: bilateral_filter_normals(
+            cloud, normals, BilateralParams(k=5)
+        ),
+        "filter": lambda cloud, normals, index: filter_cloud(
+            cloud, normals, FilterParams(k=5, t=1)
+        ),
+        "data_energy": lambda cloud, normals, index: data_energy(normals, index, 5),
+    }
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    @pytest.mark.parametrize("case", ["nan-component", "7-rows-short", "7-rows-long", "doubled"])
+    def test_bad_normals_rejected(self, monkeypatch, stage, case):
+        rng = np.random.default_rng(7)
+        radial = rng.normal(size=(144, 3))
+        radial /= np.linalg.norm(radial, axis=1, keepdims=True)
+        cloud = PointCloud(radial + rng.normal(0.0, 0.01, radial.shape), radial)
+        index = build_neighbor_index(cloud.points)
+        normals, message = bad_normals(cloud.normals, case)
+        with pytest.raises(ValueError, match=message):
+            PointCloud(cloud.points, normals)
+
+        def no_neighbour_work(*args, **kwargs):
+            raise AssertionError("neighbour work before the normals check")
+
+        monkeypatch.setattr(core.NeighborIndex, "__init__", no_neighbour_work)
+        monkeypatch.setattr(core.NeighborIndex, "k_nearest_all", no_neighbour_work)
+        with pytest.raises(ValueError, match=message):
+            self.STAGES[stage](cloud, normals, index)

@@ -19,7 +19,7 @@ from cloudfilter import (
     run_pipeline,
     write_cloud,
 )
-from cloudfilter.cli import PipelineError, build_parser, main
+from cloudfilter.cli import PipelineError, _bilateral_params, _config_from_args, build_parser, main
 from cloudfilter.cloud_io import CloudIOError
 from cloudfilter.filtering import FilterParams
 from cloudfilter.normals import BilateralParams
@@ -713,6 +713,20 @@ class TestCli:
         ])
         assert code == 1
         assert "error [normals]: input file carries no normals" in capsys.readouterr().err
+
+    def test_flag_defaults_are_the_dataclass_defaults(self):
+        # `cloudfilter filter` with no tuning flags runs what run_pipeline
+        # runs on a bare RunConfig
+        parser = build_parser()
+        args = parser.parse_args(["filter", "--input", "a", "--output", "b"])
+        assert _config_from_args(args) == RunConfig("a", "b")
+        args = parser.parse_args(["normals", "--input", "a", "--output", "b"])
+        assert _bilateral_params(args) == BilateralParams()
+        assert (args.format, args.normals, args.pca_k) == (
+            RunConfig.format, RunConfig.normal_source, RunConfig.pca_k
+        )
+        args = parser.parse_args(["filter", "--input", "a", "--output", "b", "--h", "auto"])
+        assert _config_from_args(args).filter_params == FilterParams()
 
     def test_h_flag_parsing(self, tmp_path):
         clean = tmp_path / "c.xyz"

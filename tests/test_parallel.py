@@ -269,9 +269,9 @@ class TestQueryMemory:
     def test_k_nearest_all(self, sphere):
         index = build_neighbor_index(sphere.points)
         k = 30
-        # per worker, one query block (at most 4 * BLOCK_ROWS rows) of
-        # distances, indices and test masks
-        block_bytes = core.WORKERS * 4 * core.BLOCK_ROWS * (k + 2) * 32
+        # per worker, one BLOCK_ROWS-row query block of distances, indices
+        # and test masks
+        block_bytes = core.WORKERS * core.BLOCK_ROWS * (k + 2) * 32
         out_bytes = self.M * k * np.dtype(core.INDEX_DTYPE).itemsize
         assert traced_peak(lambda: index.k_nearest_all(k)) < out_bytes + block_bytes
 
