@@ -11,7 +11,7 @@ from .pipeline import (
     PipelineError,
     RunConfig,
     _stage,
-    _write_text,
+    _write_report,
     run_pipeline,
     smoothed_normals,
 )
@@ -123,11 +123,7 @@ def _cmd_shape(args):
 def _cmd_metrics(args):
     gt = _stage("read", cloud_io.read_cloud, args.gt, args.format)
     predicted = _stage("read", cloud_io.read_cloud, args.input, args.format)
-    report = metrics.evaluate(gt.points, predicted.points)
-    if args.report:
-        _stage("report", _write_text, args.report, report.to_text())
-    else:
-        sys.stdout.write(report.to_text())
+    _write_report(metrics.evaluate(gt.points, predicted.points).to_text(), args.report)
     return 0
 
 

@@ -26,6 +26,9 @@ class CloudIOError(ValueError):
 
 def _finalize(points, normals, path):
     points = np.ascontiguousarray(points, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(bad):
+        raise CloudIOError(f"{path}: non-finite coordinate at point {bad[0]}")
     if normals is not None:
         normals = np.ascontiguousarray(normals, dtype=np.float64)
         bad = np.flatnonzero(~np.isfinite(normals).all(axis=1))

@@ -182,7 +182,6 @@ class NeighborIndex:
         while True:
             kq = min(kq, m)
             dist, idx = self._tree.query(p, k=kq)
-            dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
             cand = idx != query_idx
             d, j = dist[cand], idx[cand]
             # A farther point returned means the tie group at the k-th

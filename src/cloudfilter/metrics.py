@@ -24,32 +24,9 @@ class MetricReport:
         )
 
 
-def _check_mse_args(a, b, m):
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if len(a) < m:
-        raise ValueError("too few ground-truth points")
-    if len(b) == 0:
-        raise ValueError("empty point set")
-
-
-def _chamfer(d_ab, d_ba):
-    return float(np.mean(d_ab**2) + np.mean(d_ba**2))
-
-
-def _mse(dist, b, m):
-    return float(np.sum(dist**2)) / (len(b) * m)
-
-
 def chamfer_distance(s1, s2):
     """Symmetric mean of squared nearest-neighbor distances between two sets."""
-    a = as_points(s1)
-    b = as_points(s2)
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("empty point set")
-    d_ab, _ = cKDTree(b).query(a, workers=core.WORKERS)
-    d_ba, _ = cKDTree(a).query(b, workers=core.WORKERS)
-    return _chamfer(d_ab, d_ba)
+    return evaluate(s1, s2, m=1).chamfer
 
 
 def mean_square_error(s1, s2, m=10):
@@ -57,31 +34,31 @@ def mean_square_error(s1, s2, m=10):
     nearest ground-truth points in s1, averaged over the predicted set:
     1/(|S2| m) sum_y sum_{x in NN_m(y)} |x - y|^2.
     """
-    a = as_points(s1)
-    b = as_points(s2)
-    _check_mse_args(a, b, m)
-    dist, _ = cKDTree(a).query(b, k=m, workers=core.WORKERS)
-    return _mse(dist.reshape(len(b), m), b, m)
+    return evaluate(s1, s2, m).mse
 
 
 def evaluate(ground_truth, predicted, m=10):
-    """Full metric report for a predicted set against ground truth.
+    """Full metric report for a predicted set against ground truth: the
+    Chamfer distance and the m-nearest mean squared error.
 
-    Equal to the separate chamfer_distance and mean_square_error calls, with
-    one ground-truth KD-tree: the predicted-to-ground-truth distances of the
-    Chamfer term are column 0 of the MSE's m-nearest query.
+    The only code that computes either metric. One ground-truth KD-tree
+    serves both: the predicted-to-ground-truth distances of the Chamfer term
+    are column 0 of the MSE's m-nearest query.
     """
     a = as_points(ground_truth)
     b = as_points(predicted)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty point set")
-    _check_mse_args(a, b, m)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if len(a) < m:
+        raise ValueError("too few ground-truth points")
     d_ab, _ = cKDTree(b).query(a, workers=core.WORKERS)
     dist, _ = cKDTree(a).query(b, k=m, workers=core.WORKERS)
     dist = dist.reshape(len(b), m)
     return MetricReport(
-        chamfer=_chamfer(d_ab, dist[:, 0]),
-        mse=_mse(dist, b, m),
+        chamfer=float(np.mean(d_ab**2) + np.mean(dist[:, 0] ** 2)),
+        mse=float(np.sum(dist**2)) / (len(b) * m),
         s1_count=len(a),
         s2_count=len(b),
     )

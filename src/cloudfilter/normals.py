@@ -2,7 +2,7 @@
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import (
     breadth_first_order,
     connected_components,
@@ -138,10 +138,8 @@ def orient_normals(cloud, normals):
     roots = by_height[np.searchsorted(labels[by_height], np.arange(n_components))]
     heads = np.concatenate([mst.row, np.full(n_components, m)])
     tails = np.concatenate([mst.col, roots])
-    forest = coo_matrix((np.ones(len(heads)), (heads, tails)), shape=(m + 1, m + 1))
-    order, parent = breadth_first_order(
-        forest.tocsr(), m, directed=False, return_predecessors=True
-    )
+    forest = csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(m + 1, m + 1))
+    order, parent = breadth_first_order(forest, m, directed=False, return_predecessors=True)
     child = order[1:]
     extended = np.vstack([normals, [0.0, 0.0, 1.0]])
     # Stacked matmul runs the same BLAS dot as `a @ b`, so a near-perpendicular

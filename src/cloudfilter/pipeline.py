@@ -91,12 +91,16 @@ def run_pipeline(config):
         gt = _stage("metrics", cloud_io.read_cloud, config.gt_path, config.format)
         report = _stage("metrics", metrics.evaluate, gt.points, out_cloud.points)
         wall = time.perf_counter() - started
-        text = report.to_text() + f"wall_time_seconds={wall:.6g}\n"
-        if config.report_path:
-            _stage("report", _write_text, config.report_path, text)
-        else:
-            sys.stdout.write(text)
+        _write_report(report.to_text() + f"wall_time_seconds={wall:.6g}\n", config.report_path)
     return out_cloud, diagnostics, report
+
+
+def _write_report(text, path):
+    """Write a metric report to `path`, or to stdout when no path is given."""
+    if path:
+        _stage("report", _write_text, path, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _write_text(path, text):

@@ -203,9 +203,11 @@ PARITY_CASES = [
     ("xyz-underscore", "xyz", "1_0 2 3\n", (ERR, "{path}:1: malformed number")),
     ("xyz-unicode-digits", "xyz", "١٢ 2 3\n", (ERR, "{path}:1: malformed number")),
     ("xyz-fullwidth-digit", "xyz", "１ 2 3\n", (ERR, "{path}:1: malformed number")),
-    ("xyz-nan", "xyz", "nan 0 0\n", (ValueError, "invalid coordinate")),
-    ("xyz-inf", "xyz", "0 -inf 0\n", (ValueError, "invalid coordinate")),
-    ("xyz-overflow", "xyz", "0 0 1e500\n", (ValueError, "invalid coordinate")),
+    ("xyz-nan", "xyz", "nan 0 0\n", (ERR, "{path}: non-finite coordinate at point 0")),
+    ("xyz-inf", "xyz", "0 -inf 0\n", (ERR, "{path}: non-finite coordinate at point 0")),
+    ("xyz-inf-second-point", "xyz", "1 2 3\n0 -inf 0\n",
+     (ERR, "{path}: non-finite coordinate at point 1")),
+    ("xyz-overflow", "xyz", "0 0 1e500\n", (ERR, "{path}: non-finite coordinate at point 0")),
     ("xyz-overflow-normal", "xyz", "0 0 0 1e500 0 0\n",
      (ERR, "{path}: non-finite normal at point 0")),
     ("xyz-huge-normal", "xyz", "0 0 0 1e300 1e300 0\n1 0 0 0 0 2\n",
@@ -247,7 +249,7 @@ PARITY_CASES = [
     ("ply-malformed-number", "ply-ascii", _ply(["0 0 0", "1 2 y"]),
      (ERR, "{path}:10: malformed number")),
     ("ply-underscore", "ply-ascii", _ply(["1_0 0 0"]), (ERR, "{path}:9: malformed number")),
-    ("ply-nan", "ply-ascii", _ply(["nan 0 0"]), (ValueError, "invalid coordinate")),
+    ("ply-nan", "ply-ascii", _ply(["nan 0 0"]), (ERR, "{path}: non-finite coordinate at point 0")),
     ("ply-huge-normal", "ply-ascii",
      _ply(["0 0 0 1e300 1e300 0", "1 0 0 0 0 2"], "x y z nx ny nz"),
      ([[0, 0, 0], [1, 0, 0]], [[HALF_ROOT, HALF_ROOT, 0], [0, 0, 1]])),
@@ -493,7 +495,71 @@ class TestWriteBytes:
         assert _first_difference(path.read_bytes().decode(), expected) is None
 
 
+DEGENERATE_CASES = (
+    "plain", "triplicates", "collinear", "coincident", "outlier",
+    "scale-1e-12", "scale-1e12", "two-components", "k-n-minus-1",
+)
+
+
+def _degenerate_cloud(case, rng):
+    """A seeded noisy cube (96 points, exact normals) made degenerate as `case`
+    names, and the filter k to run it with."""
+    cube = make_shape("cube", 4)
+    points = cube.points + rng.normal(0.0, 0.005, size=cube.points.shape)
+    normals = cube.normals
+    k = FilterParams.k
+    if case == "triplicates":
+        points, normals = np.repeat(points, 3, axis=0), np.repeat(normals, 3, axis=0)
+    elif case == "collinear":
+        points = rng.random((len(points), 1)) * [[1.0, 2.0, 3.0]]
+    elif case == "coincident":
+        points = np.tile(points[0], (len(points), 1))
+    elif case == "outlier":
+        points[0] = 1e6
+    elif case.startswith("scale-"):
+        points = points * float(case.removeprefix("scale-"))
+    elif case == "two-components":
+        points, normals = np.vstack([points, points + 100.0]), np.vstack([normals, normals])
+    elif case == "k-n-minus-1":
+        k = len(points) - 1
+    return PointCloud(points, normals), k
+
+
 class TestRunPipeline:
+    def test_degenerate_inputs(self, tmp_path):
+        """Seeded loop in the style of criterion 1 over degenerate inputs,
+        with PCA and with file normals: each run gives finite points, normals
+        and diagnostics, or a PipelineError naming its stage, and none warns."""
+        outcomes = {}
+        cases = [(case, source) for case in DEGENERATE_CASES for source in ("pca", "file")]
+        for seed, (case, source) in enumerate(cases):
+            cloud, k = _degenerate_cloud(case, np.random.default_rng(seed))
+            src = tmp_path / f"in{seed}.xyz"
+            write_cloud(cloud, src)
+            config = RunConfig(
+                input_path=str(src),
+                output_path=str(tmp_path / f"out{seed}.xyz"),
+                filter_params=FilterParams(k=k),
+                normal_source=source,
+            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    out, diagnostics, _ = run_pipeline(config)
+                except PipelineError as exc:
+                    outcomes[case, source] = f"[{exc.stage}] {exc}"
+                else:
+                    values = [out.points, out.normals] + [list(vars(d).values()) for d in diagnostics]
+                    finite = all(np.isfinite(v).all() for v in values)
+                    outcomes[case, source] = "finite" if finite else "non-finite"
+            warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert warned == [], (case, source)
+        expected = {
+            (case, source): "[normalize] degenerate extent" if case == "coincident" else "finite"
+            for case, source in cases
+        }
+        assert outcomes == expected
+
     def test_end_to_end_with_file_normals(self, tmp_path):
         cloud = make_shape("plane", 10)
         src = tmp_path / "in.xyz"

@@ -77,6 +77,8 @@ class TestEvaluate:
         assert report.chamfer == pytest.approx(chamfer_distance(a, b))
         assert report.mse == pytest.approx(mean_square_error(a, b))
 
+    # The name predates chamfer_distance and mean_square_error becoming
+    # fields of evaluate; the reference is now the brute-force one.
     @pytest.mark.parametrize("m", [1, 3, 10])
     def test_equals_separate_calls_exactly(self, m):
         rng = np.random.default_rng(m)
@@ -84,8 +86,28 @@ class TestEvaluate:
         b = np.vstack([a[:50], rng.random((300, 3)), a[:5]])  # exact and tied matches
         for pred in (b, b[:1]):
             report = evaluate(a, pred, m=m)
-            assert report.chamfer == chamfer_distance(a, pred)
-            assert report.mse == mean_square_error(a, pred, m=m)
+            assert report.chamfer == pytest.approx(brute_force_chamfer(a, pred), rel=1e-12)
+            assert report.mse == pytest.approx(brute_force_mse(a, pred, m), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "s1, s2, m, message",
+        [
+            (np.empty((0, 3)), [[0, 0, 0.0]], 1, "empty point set"),
+            ([[0, 0, 0.0]], np.empty((0, 3)), 1, "empty point set"),
+            ([[0, 0, 0.0]], [[1, 1, 1.0]], 0, "m must be >= 1"),
+            ([[0, 0, 0.0]], [[1, 1, 1.0]], 2, "too few ground-truth points"),
+        ],
+        ids=["empty-gt", "empty-predicted", "m-zero", "too-few-gt"],
+    )
+    def test_public_functions_share_errors(self, s1, s2, m, message):
+        # chamfer_distance is evaluate at m=1, so only an empty set applies to it.
+        calls = [lambda: evaluate(s1, s2, m=m), lambda: mean_square_error(s1, s2, m=m)]
+        if m == 1:
+            calls.append(lambda: chamfer_distance(s1, s2))
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
 
     def test_text_report(self):
         report = MetricReport(chamfer=0.5, mse=0.25, s1_count=3, s2_count=4)
