@@ -115,6 +115,7 @@ def _read_ply_ascii(path):
     if not lines or lines[0].strip() != "ply":
         raise CloudIOError(f"{path}: not a PLY file")
     vertex_count = None
+    skipped_rows = 0  # rows of the elements declared before vertex
     properties = []
     in_vertex_element = False
     body_start = None
@@ -130,16 +131,21 @@ def _read_ply_ascii(path):
         elif fields[0] == "element":
             if len(fields) < 2:
                 raise CloudIOError(f"{path}:{lineno}: malformed element line")
-            in_vertex_element = fields[1] == "vertex"
-            if in_vertex_element:
+            name = fields[1]
+            in_vertex_element = name == "vertex"
+            if vertex_count is None:
                 try:
-                    vertex_count = int(fields[2])
+                    count = int(fields[2])
                 except (IndexError, ValueError):
                     raise CloudIOError(
-                        f"{path}:{lineno}: vertex count is not an integer"
+                        f"{path}:{lineno}: {name} count is not an integer"
                     ) from None
-                if vertex_count < 0:
-                    raise CloudIOError(f"{path}:{lineno}: negative vertex count")
+                if count < 0:
+                    raise CloudIOError(f"{path}:{lineno}: negative {name} count")
+                if in_vertex_element:
+                    vertex_count = count
+                else:
+                    skipped_rows += count
         elif fields[0] == "property" and in_vertex_element:
             properties.append(fields[-1])
         elif fields[0] == "end_header":
@@ -155,10 +161,12 @@ def _read_ply_ascii(path):
     if all(n in properties for n in ("nx", "ny", "nz")):
         normal_cols = [properties.index(name) for name in ("nx", "ny", "nz")]
 
-    body = lines[body_start : body_start + vertex_count]
+    # ASCII PLY holds one line per row, elements in declared order
+    start = body_start + skipped_rows
+    body = lines[start : start + vertex_count]
     if len(body) < vertex_count:
         raise CloudIOError(f"{path}: truncated vertex data")
-    table = _body_table(path, list(enumerate(body, start=body_start + 1)),
+    table = _body_table(path, list(enumerate(body, start=start + 1)),
                         lambda w: w >= len(properties), "malformed vertex line")
     normals = None if normal_cols is None else table[:, normal_cols]
     return _finalize(table[:, point_cols], normals, path)

@@ -252,8 +252,17 @@ def build_neighbor_index(points):
 
 
 def bbox_diagonal(points):
+    """Length of the bounding-box diagonal. Where the squared sides under-
+    or overflow, the extent is first divided by its largest side; every
+    other cloud keeps the plain norm's bits."""
     pts = as_points(points)
-    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    with np.errstate(over="ignore"):
+        extent = pts.max(axis=0) - pts.min(axis=0)
+        diag = float(np.linalg.norm(extent))
+        side = extent.max()
+        if diag in (0.0, np.inf) and 0.0 < side < np.inf:
+            diag = float(side * np.linalg.norm(extent / side))
+    return diag
 
 
 def normalize_cloud(cloud):
@@ -263,8 +272,11 @@ def normalize_cloud(cloud):
     pts = cloud.points
     if len(pts) < 2:
         raise ValueError("degenerate extent")
-    centroid = pts.mean(axis=0)
-    diag = bbox_diagonal(pts)
+    with np.errstate(over="ignore"):
+        centroid = pts.mean(axis=0)
+        diag = bbox_diagonal(pts)
+    if not (np.isfinite(centroid).all() and np.isfinite(diag)):
+        raise ValueError("extent overflows float64")
     if diag <= 0:
         raise ValueError("degenerate extent")
     transform = CloudTransform(centroid, diag)

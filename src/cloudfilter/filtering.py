@@ -89,28 +89,31 @@ def resolve_support_radius(params, points):
 
 def data_energy(normals, index, k):
     """Sum over the indexed points and their patches of the squared
-    projections of p_i - p_j onto both endpoint normals."""
+    projections of p_j - p_i onto both endpoint normals."""
     pts = index.points
     normals = as_normals(normals, len(pts))
     nbrs = index.k_nearest_all(k)
-    # One (M, k) buffer holds the squared projections onto n_j, then those
-    # onto n_i; each np.sum runs over the whole array, so the bits do not
-    # depend on the block size.
+    # One (M, k) buffer of proj_j^2 + proj_i^2; np.sum runs over the whole
+    # array, so the bits do not depend on the block size.
     sq = np.empty(nbrs.shape)
 
-    def onto_j(rows):
-        patch = nbrs[rows]
-        diff = pts[rows, None, :] - pts[patch]  # p_i - p_j
-        sq[rows] = np.square(np.einsum("ikj,ikj->ik", diff, normals[patch]))
+    def block(rows):
+        _, _, proj_j, proj_i = _projections(pts, normals, rows, nbrs[rows])
+        sq[rows] = np.square(proj_j) + np.square(proj_i)
 
-    def onto_i(rows):
-        diff = pts[rows, None, :] - pts[nbrs[rows]]  # p_i - p_j
-        sq[rows] = np.square(np.einsum("ikj,ij->ik", diff, normals[rows]))
+    for_row_blocks(block, len(pts))
+    return float(np.sum(sq))
 
-    for_row_blocks(onto_j, len(pts))
-    energy_j = np.sum(sq)
-    for_row_blocks(onto_i, len(pts))
-    return float(energy_j + np.sum(sq))
+
+def _projections(points, normals, rows, patches):
+    """d = p_j - p_i and n_j, each (b, k, 3), and the (b, k) projections d.n_j
+    and d.n_i of points[rows], row r over its patch patches[r]. The update
+    and data_energy both take them from here."""
+    d = points[patches] - points[rows][:, None, :]  # p_j - p_i
+    n_j = normals[patches]
+    proj_j = np.einsum("ikj,ikj->ik", d, n_j)
+    proj_i = np.einsum("ikj,ikj->ik", d, normals[rows, None, :])
+    return d, n_j, proj_j, proj_i
 
 
 def update_point(i, points, normals, patch, params, h):
@@ -131,12 +134,8 @@ def _update_rows(points, normals, rows, patches, params, h):
     """
     gamma = 1.0 / (3.0 * patches.shape[1])
     p = points[rows]
-    d = points[patches] - p[:, None, :]  # p_j - p_i
-    n_j = normals[patches]
     n_i = normals[rows, None, :]
-
-    proj_j = np.einsum("ikj,ikj->ik", d, n_j)
-    proj_i = np.einsum("ikj,ikj->ik", d, n_i)
+    d, n_j, proj_j, proj_i = _projections(points, normals, rows, patches)
     along_j = proj_j[:, :, None] * n_j
     data_step = gamma * (along_j.sum(axis=1) + (proj_i[:, :, None] * n_i).sum(axis=1))
     if params.mu == 0.0:

@@ -68,8 +68,8 @@ def estimate_normals_pca(cloud, k):
     """
     pts = cloud.points
     m = len(pts)
-    if k < 3 or m < k + 1:
-        raise ValueError("need at least k+1 >= 4 points")
+    if k < 3:
+        raise ValueError("k must be >= 3")
     index = build_neighbor_index(pts)
     nbrs = index.k_nearest_all(k)
     w = np.empty((m, 3))

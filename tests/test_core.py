@@ -205,6 +205,12 @@ class TestNeighborIndex:
         with pytest.raises(ValueError, match="invalid coordinate"):
             build_neighbor_index([[0.0, np.nan, 0.0]])
 
+    @pytest.mark.parametrize("query", [-1, 2])
+    def test_query_index_out_of_range_rejected(self, query):
+        index = build_neighbor_index([[0, 0, 0], [1, 0, 0.0]])
+        with pytest.raises(IndexError, match="^query index out of range$"):
+            index.k_nearest(query, 1)
+
     def test_k_too_large_rejected(self):
         index = build_neighbor_index([[0, 0, 0], [1, 0, 0.0]])
         with pytest.raises(ValueError, match="k exceeds cloud size"):
@@ -327,6 +333,10 @@ class TestPointCloud:
     def test_non_unit_normals_rejected(self):
         with pytest.raises(ValueError):
             PointCloud([[0, 0, 0.0]], [[0, 0, 2.0]])
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match=r"^points must have shape \(M, 3\)$"):
+            PointCloud(np.zeros((4, 2)))
 
 
 def bad_normals(normals, case):

@@ -151,9 +151,20 @@ class TestPlyIO:
         with pytest.raises(CloudIOError, match="unknown format"):
             read_cloud(tmp_path / "f", format="obj")
 
+    def test_write_empty_cloud_rejected(self, tmp_path):
+        with pytest.raises(CloudIOError, match="^empty cloud$"):
+            write_cloud(PointCloud(np.empty((0, 3))), tmp_path / "e.xyz")
 
-def _ply(rows, properties="x y z", count=None, after_vertex=()):
+    def test_write_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "f"
+        with pytest.raises(CloudIOError, match="^unknown format: 'obj'$"):
+            write_cloud(make_shape("plane", 4), path, format="obj")
+        assert not path.exists()
+
+
+def _ply(rows, properties="x y z", count=None, after_vertex=(), before_vertex=()):
     lines = ["ply", "format ascii 1.0", "comment written by hand"]
+    lines += list(before_vertex)
     lines.append(f"element vertex {len(rows) if count is None else count}")
     lines += [f"property float {name}" for name in properties.split()]
     lines += list(after_vertex)
@@ -162,6 +173,8 @@ def _ply(rows, properties="x y z", count=None, after_vertex=()):
 
 
 ERR = CloudIOError
+# An element declared before vertex, one row of three values
+CAMERA = ["element camera 1", "property float a", "property float b", "property float c"]
 # (1, 1, 0) divided by its norm, the reader's value for a normal (h, h, 0)
 # whose squares overflow
 HALF_ROOT = 1 / np.sqrt(2.0)
@@ -258,6 +271,26 @@ PARITY_CASES = [
     ("ply-zero-vertices", "ply-ascii", _ply([], count=0), (ERR, "{path}: empty cloud")),
     ("ply-truncated", "ply-ascii", _ply(["0 0 0"], count=2),
      (ERR, "{path}: truncated vertex data")),
+    ("ply-element-before-vertex", "ply-ascii",
+     _ply(["9 9 9", "0 0 0", "1 1 1"], count=2, before_vertex=CAMERA),
+     ([[0, 0, 0], [1, 1, 1]], None)),
+    ("ply-element-before-vertex-bad-number", "ply-ascii",
+     _ply(["9 9 9", "0 0 0", "1 1 y"], count=2, before_vertex=CAMERA),
+     (ERR, "{path}:15: malformed number")),
+    ("ply-element-before-vertex-truncated", "ply-ascii",
+     _ply(["9 9 9", "0 0 0"], count=2, before_vertex=CAMERA),
+     (ERR, "{path}: truncated vertex data")),
+    ("ply-element-count-not-integer", "ply-ascii",
+     _ply(["0 0 0"], before_vertex=["element camera x"]),
+     (ERR, "{path}:4: camera count is not an integer")),
+    ("ply-negative-element-count", "ply-ascii",
+     _ply(["0 0 0"], before_vertex=["element camera -1"]),
+     (ERR, "{path}:4: negative camera count")),
+    ("ply-binary", "ply-ascii",
+     _ply(["0 0 0"]).replace("format ascii", "format binary_little_endian"),
+     (ERR, "{path}:2: only ascii PLY supported")),
+    ("ply-no-end-header", "ply-ascii", _ply(["0 0 0"]).replace("end_header\n", ""),
+     (ERR, "{path}: missing vertex element or end_header")),
 ]
 
 
@@ -497,8 +530,15 @@ class TestWriteBytes:
 
 DEGENERATE_CASES = (
     "plain", "triplicates", "collinear", "coincident", "outlier",
-    "scale-1e-12", "scale-1e12", "two-components", "k-n-minus-1",
+    "scale-1e-12", "scale-1e12", "scale-1e-300", "scale-1e300", "scale-1e308",
+    "two-components", "k-n-minus-1",
 )
+# The cases whose run stops with a PipelineError, and its text; every other
+# case gives finite output.
+DEGENERATE_ERRORS = {
+    "coincident": "[normalize] degenerate extent",
+    "scale-1e308": "[normalize] extent overflows float64",
+}
 
 
 def _degenerate_cloud(case, rng):
@@ -555,8 +595,7 @@ class TestRunPipeline:
             warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
             assert warned == [], (case, source)
         expected = {
-            (case, source): "[normalize] degenerate extent" if case == "coincident" else "finite"
-            for case, source in cases
+            (case, source): DEGENERATE_ERRORS.get(case, "finite") for case, source in cases
         }
         assert outcomes == expected
 

@@ -95,8 +95,13 @@ class TestEstimateNormalsPca:
 
     def test_too_few_points_rejected(self):
         cloud = PointCloud(np.random.default_rng(0).random((4, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^k exceeds cloud size$"):
             estimate_normals_pca(cloud, 4)
+
+    def test_k_below_three_rejected(self):
+        cloud = PointCloud(np.random.default_rng(0).random((1000, 3)))
+        with pytest.raises(ValueError, match="^k must be >= 3$"):
+            estimate_normals_pca(cloud, 2)
 
 
 class TestOrientNormals:
@@ -267,3 +272,5 @@ class TestBilateralFilterNormals:
                 BilateralParams(sigma_s=sigma)
         with pytest.raises(ValueError):
             BilateralParams(iterations=0)
+        with pytest.raises(ValueError, match="^k must be >= 3$"):
+            BilateralParams(k=2)
