@@ -173,11 +173,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PipelineError as exc:
-        print(f"error [{exc.stage}]: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
-        stage = args.command
+        stage = exc.stage if isinstance(exc, PipelineError) else args.command
         print(f"error [{stage}]: {exc}", file=sys.stderr)
         return 1
 

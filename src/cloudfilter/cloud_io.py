@@ -114,10 +114,7 @@ def _read_ply_ascii(path):
         lines = fh.readlines()
     if not lines or lines[0].strip() != "ply":
         raise CloudIOError(f"{path}: not a PLY file")
-    vertex_count = None
-    skipped_rows = 0  # rows of the elements declared before vertex
-    properties = []
-    in_vertex_element = False
+    elements = []  # (name, count, property lines' fields), in declared order
     body_start = None
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.strip().split()
@@ -132,27 +129,29 @@ def _read_ply_ascii(path):
             if len(fields) < 2:
                 raise CloudIOError(f"{path}:{lineno}: malformed element line")
             name = fields[1]
-            in_vertex_element = name == "vertex"
-            if vertex_count is None:
-                try:
-                    count = int(fields[2])
-                except (IndexError, ValueError):
-                    raise CloudIOError(
-                        f"{path}:{lineno}: {name} count is not an integer"
-                    ) from None
-                if count < 0:
-                    raise CloudIOError(f"{path}:{lineno}: negative {name} count")
-                if in_vertex_element:
-                    vertex_count = count
-                else:
-                    skipped_rows += count
-        elif fields[0] == "property" and in_vertex_element:
-            properties.append(fields[-1])
+            try:
+                count = int(fields[2])
+            except (IndexError, ValueError):
+                raise CloudIOError(f"{path}:{lineno}: {name} count is not an integer") from None
+            if count < 0:
+                raise CloudIOError(f"{path}:{lineno}: negative {name} count")
+            elements.append((name, count, []))
+        elif fields[0] == "property" and elements:
+            elements[-1][2].append(fields)
         elif fields[0] == "end_header":
             body_start = lineno
             break
-    if vertex_count is None or body_start is None:
+    names = [name for name, _, _ in elements]
+    if "vertex" not in names or body_start is None:
         raise CloudIOError(f"{path}: missing vertex element or end_header")
+    # ASCII PLY holds one line per row, elements in declared order
+    vertex = names.index("vertex")
+    start = body_start + sum(count for _, count, _ in elements[:vertex])
+    _, vertex_count, property_fields = elements[vertex]
+    for fields in property_fields:
+        if fields[1:2] == ["list"]:
+            raise CloudIOError(f"{path}: vertex list property {fields[-1]} is not supported")
+    properties = [fields[-1] for fields in property_fields]
     try:
         point_cols = [properties.index(name) for name in ("x", "y", "z")]
     except ValueError:
@@ -161,8 +160,6 @@ def _read_ply_ascii(path):
     if all(n in properties for n in ("nx", "ny", "nz")):
         normal_cols = [properties.index(name) for name in ("nx", "ny", "nz")]
 
-    # ASCII PLY holds one line per row, elements in declared order
-    start = body_start + skipped_rows
     body = lines[start : start + vertex_count]
     if len(body) < vertex_count:
         raise CloudIOError(f"{path}: truncated vertex data")

@@ -39,8 +39,6 @@ class RunConfig:
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except PipelineError:
-        raise
     except Exception as exc:
         raise PipelineError(name, str(exc)) from exc
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,13 @@ class TestNormalizeCloud:
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="degenerate extent"):
             normalize_cloud(PointCloud([[1, 1, 1], [1, 1, 1.0]]))
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_points_rejected_without_warning(self, count):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^degenerate extent$"):
+                normalize_cloud(PointCloud(np.ones((count, 3))))
 
 
 class TestCloudTransform:

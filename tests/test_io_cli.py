@@ -291,6 +291,18 @@ PARITY_CASES = [
      (ERR, "{path}:2: only ascii PLY supported")),
     ("ply-no-end-header", "ply-ascii", _ply(["0 0 0"]).replace("end_header\n", ""),
      (ERR, "{path}: missing vertex element or end_header")),
+    ("ply-vertex-list-property", "ply-ascii",
+     _ply(["0 0 0 1 5", "1 2 3 2 5 6"], after_vertex=["property list uchar int tags"]),
+     (ERR, "{path}: vertex list property tags is not supported")),
+    ("ply-second-vertex-element", "ply-ascii", _ply(
+        ["0 0 0", "1 2 3", "7 7"], count=2,
+        after_vertex=["element vertex 1", "property float a", "property float b"]),
+     ([[0, 0, 0], [1, 2, 3]], None)),
+    ("ply-bad-count-after-vertex", "ply-ascii",
+     _ply(["0 0 0"], after_vertex=["element face x"]),
+     (ERR, "{path}:8: face count is not an integer")),
+    ("ply-blank-header-line", "ply-ascii", _ply(["0 0 0", "1 2 3"], before_vertex=["", "  "]),
+     ([[0, 0, 0], [1, 2, 3]], None)),
 ]
 
 
