@@ -136,7 +136,9 @@ def _read_ply_ascii(path):
             if count < 0:
                 raise CloudIOError(f"{path}:{lineno}: negative {name} count")
             elements.append((name, count, []))
-        elif fields[0] == "property" and elements:
+        elif fields[0] == "property":
+            if not elements:
+                raise CloudIOError(f"{path}:{lineno}: property before any element")
             elements[-1][2].append(fields)
         elif fields[0] == "end_header":
             body_start = lineno

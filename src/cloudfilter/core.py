@@ -39,6 +39,11 @@ def for_row_blocks(fn, m):
     Each call must write only its own rows of a preallocated output, so the
     result is the same for any block size and thread count. The pool lives
     for this call only; with one block or one worker the calls run inline.
+
+    The kernels gather with np.take(a, idx, axis=0), sum over the neighbour
+    axis with np.einsum and write length-3 norms as x*x + y*y + z*z. Each
+    gives the bits of a[idx], .sum(axis=1) or np.linalg.norm without numpy's
+    strided inner loops (README.md, "Performance").
     """
     blocks = [slice(s, min(s + BLOCK_ROWS, m)) for s in range(0, m, BLOCK_ROWS)]
     if WORKERS == 1 or len(blocks) <= 1:

@@ -109,8 +109,8 @@ def _projections(points, normals, rows, patches):
     """d = p_j - p_i and n_j, each (b, k, 3), and the (b, k) projections d.n_j
     and d.n_i of points[rows], row r over its patch patches[r]. The update
     and data_energy both take them from here."""
-    d = points[patches] - points[rows][:, None, :]  # p_j - p_i
-    n_j = normals[patches]
+    d = np.take(points, patches, axis=0) - points[rows][:, None, :]  # p_j - p_i
+    n_j = np.take(normals, patches, axis=0)
     proj_j = np.einsum("ikj,ikj->ik", d, n_j)
     proj_i = np.einsum("ikj,ikj->ik", d, normals[rows, None, :])
     return d, n_j, proj_j, proj_i
@@ -137,16 +137,20 @@ def _update_rows(points, normals, rows, patches, params, h):
     n_i = normals[rows, None, :]
     d, n_j, proj_j, proj_i = _projections(points, normals, rows, patches)
     along_j = proj_j[:, :, None] * n_j
-    data_step = gamma * (along_j.sum(axis=1) + (proj_i[:, :, None] * n_i).sum(axis=1))
+    # The proj_i products stay a (b, k, 3) array: an einsum over the
+    # broadcast n_i would sum proj_i first and change the bits.
+    data_step = gamma * (np.einsum("ikj->ij", along_j)
+                         + np.einsum("ikj->ij", proj_i[:, :, None] * n_i))
     if params.mu == 0.0:
         return p + data_step
 
     tangential = along_j - d  # p_i - p_j minus its n_j component
-    b = beta(np.linalg.norm(tangential, axis=2), h)
+    tx, ty, tz = tangential[:, :, 0], tangential[:, :, 1], tangential[:, :, 2]
+    b = beta(np.sqrt(tx * tx + ty * ty + tz * tz), h)
     denom = b.sum(axis=1)[:, None]
     # theta can underflow to 0 for isolated points: no repulsion there
     repulsion_step = np.divide(
-        params.mu * (b[:, :, None] * tangential).sum(axis=1),
+        params.mu * np.einsum("ik,ikj->ij", b, tangential),
         denom,
         out=np.zeros_like(p),
         where=denom > 0,

@@ -76,8 +76,10 @@ def estimate_normals_pca(cloud, k):
     v = np.empty((m, 3, 3))
 
     def block(rows):
-        patches = np.concatenate([pts[rows, None, :], pts[nbrs[rows]]], axis=1)  # (b, k+1, 3)
-        centered = patches - patches.mean(axis=1, keepdims=True)
+        patches = np.concatenate(
+            [pts[rows, None, :], np.take(pts, nbrs[rows], axis=0)], axis=1
+        )  # (b, k+1, 3)
+        centered = patches - (np.einsum("ikj->ij", patches) / (k + 1))[:, None, :]
         cov = np.einsum("ipa,ipb->iab", centered, centered) / (k + 1)
         w[rows], v[rows] = np.linalg.eigh(cov)  # ascending eigenvalues
 
@@ -112,9 +114,8 @@ def orient_normals(cloud, normals):
     weights = np.empty((m, k))
 
     def edge_weights(block):
-        n_a = np.repeat(normals[block], k, axis=0)
-        dots = np.einsum("ij,ij->i", n_a, normals[nbrs[block].ravel()])
-        weights[block] = np.maximum(1.0 - np.abs(dots), _MIN_WEIGHT).reshape(-1, k)
+        dots = np.einsum("ikj,ij->ik", np.take(normals, nbrs[block], axis=0), normals[block])
+        weights[block] = np.maximum(1.0 - np.abs(dots), _MIN_WEIGHT)
 
     for_row_blocks(edge_weights, m)
     # Row i of the neighbour table is row i of the graph, k entries each.
@@ -133,27 +134,42 @@ def orient_normals(cloud, normals):
     # Each component's root is its highest point, the lowest index among
     # equal heights. Every root hangs off a virtual node m whose normal is
     # +z, so one breadth-first pass covers the whole forest and the root's
-    # "toward +z" rule is the edge rule below.
+    # "toward +z" rule is the edge rule of _tree_signs.
     by_height = np.lexsort((-pts[:, 2], labels))
     roots = by_height[np.searchsorted(labels[by_height], np.arange(n_components))]
     heads = np.concatenate([mst.row, np.full(n_components, m)])
     tails = np.concatenate([mst.col, roots])
     forest = csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(m + 1, m + 1))
-    order, parent = breadth_first_order(forest, m, directed=False, return_predecessors=True)
-    child = order[1:]
+    _, parent = breadth_first_order(forest, m, directed=False, return_predecessors=True)
+    parent[m] = m
     extended = np.vstack([normals, [0.0, 0.0, 1.0]])
     # Stacked matmul runs the same BLAS dot as `a @ b`, so a near-perpendicular
     # pair gets the same sign as a per-edge dot would give it.
-    tree_dots = np.matmul(extended[parent[child], None, :], extended[child, :, None]).ravel()
-
-    # A node's sign depends only on its tree path: it flips when the dot with
-    # its parent's oriented normal is negative. Parents precede children in
-    # breadth-first order.
-    signs = [1.0] * (m + 1)
-    for b, a, d in zip(child.tolist(), parent[child].tolist(), tree_dots.tolist()):
-        signs[b] = -1.0 if signs[a] * d < 0 else 1.0
-    normals *= np.array(signs[:m])[:, None]  # in place: normals is this call's copy
+    tree_dots = np.matmul(extended[parent, None, :], extended[:, :, None]).ravel()
+    normals *= _tree_signs(parent, tree_dots)[:m, None]  # in place: this call's copy
     return normals, n_components
+
+
+def _tree_signs(parent, dots):
+    """Sign, +1 or -1, of every node of a rooted forest.
+
+    parent[b] is b's parent, or b itself at a root, whose sign is +1.
+    dots[b] is the dot of b's normal with its parent's unoriented one. A node
+    flips when that dot times its parent's sign is negative, so an exact
+    zero dot gives +1 whatever the parent's sign. Pointer doubling over the
+    parent array finds every sign in O(log depth) whole-array passes.
+    """
+    node = np.arange(len(parent), dtype=parent.dtype)
+    # a zero-dot node starts its own path with +1, as a root does
+    up = np.where(dots == 0, node, parent)
+    sign = np.where((dots < 0) & (up != node), -1, 1).astype(np.int8)
+    # sign[b] is the product of the edge signs from b up to up[b], exclusive
+    while True:
+        top = up[up]
+        if np.array_equal(top, up):  # every up[b] is a root
+            return sign
+        sign *= sign[up]
+        up = top
 
 
 def bilateral_filter_normals(cloud, normals, params):
@@ -181,19 +197,21 @@ def bilateral_filter_normals(cloud, normals, params):
     ws = np.empty(nbrs.shape)
 
     def spatial(rows):
-        d2 = np.sum((pts[nbrs[rows]] - pts[rows, None, :]) ** 2, axis=2)
-        ws[rows] = np.exp(-d2 / sigma_s**2)
+        d = np.take(pts, nbrs[rows], axis=0) - pts[rows, None, :]
+        dx, dy, dz = d[:, :, 0], d[:, :, 1], d[:, :, 2]
+        ws[rows] = np.exp(-(dx * dx + dy * dy + dz * dz) / sigma_s**2)
 
     for_row_blocks(spatial, m)
 
     def smooth(rows):
-        n_j = current[nbrs[rows]]
+        n_j = np.take(current, nbrs[rows], axis=0)
         n_i = current[rows]
         dots = np.einsum("ikj,ij->ik", n_j, n_i)
         wr = np.exp(-((1.0 - dots) ** 2) / params.sigma_r**2)
         weights = ws[rows] * wr
         summed = np.einsum("ik,ikj->ij", weights, n_j)
-        norms = np.linalg.norm(summed, axis=1)
+        sx, sy, sz = summed[:, 0], summed[:, 1], summed[:, 2]
+        norms = np.sqrt(sx * sx + sy * sy + sz * sz)
         total = weights.sum(axis=1)
         keep = (total < 1e-12) | (norms < 1e-12)
         norms[keep] = 1.0

@@ -301,6 +301,9 @@ PARITY_CASES = [
     ("ply-bad-count-after-vertex", "ply-ascii",
      _ply(["0 0 0"], after_vertex=["element face x"]),
      (ERR, "{path}:8: face count is not an integer")),
+    ("ply-property-before-element", "ply-ascii",
+     _ply(["0 0 0", "1 2 3"], before_vertex=["property float w"]),
+     (ERR, "{path}:4: property before any element")),
     ("ply-blank-header-line", "ply-ascii", _ply(["0 0 0", "1 2 3"], before_vertex=["", "  "]),
      ([[0, 0, 0], [1, 2, 3]], None)),
 ]

@@ -3,6 +3,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
+import cloudfilter.normals as normals_module
 from cloudfilter import (
     BilateralParams,
     bilateral_filter_normals,
@@ -11,7 +12,8 @@ from cloudfilter import (
     orient_normals,
 )
 from cloudfilter.core import PointCloud, build_neighbor_index
-from cloudfilter.normals import _MIN_WEIGHT, ORIENT_GRAPH_K
+from cloudfilter.normals import _MIN_WEIGHT, ORIENT_GRAPH_K, _tree_signs
+from test_parallel import sphere_20k
 
 
 def dfs_orient(cloud, normals):
@@ -196,6 +198,41 @@ class TestOrientMatchesDepthFirstReference:
         pts = [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
         normals = [[0.6, 0.8, 0.0], [0.8, -0.6, 0.0]]
         self._assert_same(pts, normals)
+
+
+class TestTreeSigns:
+    def test_zero_dot_gives_plus_whatever_the_parent(self):
+        # Root 4. Node 0 flips; 1 is exactly perpendicular to the flipped 0,
+        # so it keeps its sign, as does 3 with a -0.0 dot; 2 flips below 1.
+        parent = np.array([4, 0, 1, 0, 4], dtype=np.int32)
+        dots = np.array([-1.0, 0.0, -0.5, -0.0, 1.0])
+        assert np.array_equal(_tree_signs(parent, dots), [-1, 1, -1, 1, 1])
+
+    def test_matches_breadth_first_loop(self, monkeypatch):
+        seen = {}
+        bfs, signs = normals_module.breadth_first_order, normals_module._tree_signs
+
+        def record_bfs(*args, **kwargs):
+            seen["order"], seen["parent"] = bfs(*args, **kwargs)
+            return seen["order"], seen["parent"]
+
+        def record_signs(parent, dots):
+            seen["dots"], seen["signs"] = dots, signs(parent, dots)
+            return seen["signs"]
+
+        monkeypatch.setattr(normals_module, "breadth_first_order", record_bfs)
+        monkeypatch.setattr(normals_module, "_tree_signs", record_signs)
+        cloud = sphere_20k()
+        orient_normals(cloud, random_signs(cloud.normals, 6))
+
+        # the former per-node loop: parents precede children in BFS order
+        child = seen["order"][1:]
+        want = [1.0] * (len(child) + 1)
+        for b, a, d in zip(child.tolist(), seen["parent"][child].tolist(),
+                           seen["dots"][child].tolist()):
+            want[b] = -1.0 if want[a] * d < 0 else 1.0
+        assert -1.0 in want and 1.0 in want
+        assert np.array_equal(seen["signs"], want)
 
 
 class TestBilateralFilterNormals:

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from cloudfilter import (
     BilateralParams,
@@ -27,8 +28,8 @@ from cloudfilter import (
     run_pipeline,
     write_cloud,
 )
-from cloudfilter.filtering import _update_all, data_energy
-from cloudfilter.normals import ORIENT_GRAPH_K
+from cloudfilter.filtering import _projections, _update_all, _update_rows, beta, data_energy
+from cloudfilter.normals import _MIN_WEIGHT, ORIENT_GRAPH_K
 from cloudfilter.synth import NoiseSpec
 from test_core import ReversedTieTree, permuted_grid
 
@@ -154,6 +155,134 @@ class TestBlockAndWorkerInvariance:
         assert all(report == results[0] for report in results)
 
 
+def reference_projections(points, normals, rows, patches):
+    """filtering._projections as fancy indexing wrote it."""
+    d = points[patches] - points[rows][:, None, :]
+    n_j = normals[patches]
+    proj_j = np.einsum("ikj,ikj->ik", d, n_j)
+    proj_i = np.einsum("ikj,ikj->ik", d, normals[rows, None, :])
+    return d, n_j, proj_j, proj_i
+
+
+def reference_update_rows(points, normals, rows, patches, params, h):
+    """filtering._update_rows with .sum(axis=1) and np.linalg.norm."""
+    gamma = 1.0 / (3.0 * patches.shape[1])
+    p = points[rows]
+    n_i = normals[rows, None, :]
+    d, n_j, proj_j, proj_i = reference_projections(points, normals, rows, patches)
+    along_j = proj_j[:, :, None] * n_j
+    data_step = gamma * (along_j.sum(axis=1) + (proj_i[:, :, None] * n_i).sum(axis=1))
+    if params.mu == 0.0:
+        return p + data_step
+    tangential = along_j - d
+    b = beta(np.linalg.norm(tangential, axis=2), h)
+    denom = b.sum(axis=1)[:, None]
+    repulsion_step = np.divide(
+        params.mu * (b[:, :, None] * tangential).sum(axis=1),
+        denom,
+        out=np.zeros_like(p),
+        where=denom > 0,
+    )
+    return p + data_step + repulsion_step
+
+
+def reference_bilateral(points, normals, nbrs, sigma_s, params):
+    """The passes of bilateral_filter_normals with fancy indexing, np.sum
+    and np.linalg.norm."""
+    d2 = np.sum((points[nbrs] - points[:, None, :]) ** 2, axis=2)
+    ws = np.exp(-d2 / sigma_s**2)
+    current = normals
+    for _ in range(params.iterations):
+        n_j = current[nbrs]
+        dots = np.einsum("ikj,ij->ik", n_j, current)
+        wr = np.exp(-((1.0 - dots) ** 2) / params.sigma_r**2)
+        weights = ws * wr
+        summed = np.einsum("ik,ikj->ij", weights, n_j)
+        norms = np.linalg.norm(summed, axis=1)
+        keep = (weights.sum(axis=1) < 1e-12) | (norms < 1e-12)
+        norms[keep] = 1.0
+        out = summed / norms[:, None]
+        out[keep] = current[keep]
+        current = out
+    return current
+
+
+class TestKernelBits:
+    """Each row-block kernel gives the bits of the fancy indexing, axis sums
+    and norms it replaced, which the reference functions above keep."""
+
+    K = 10
+
+    @pytest.fixture(params=["sphere", "copies", "grid"])
+    def cloud(self, request, noisy_sphere):
+        """Points and unit normals; the copies have zero offsets and the grid
+        exact distance ties."""
+        if request.param == "sphere":
+            return noisy_sphere
+        pts = coincident_copies() if request.param == "copies" else permuted_grid(15, seed=4)
+        normals = np.random.default_rng(7).normal(size=pts.shape)
+        return PointCloud(pts, normals / np.linalg.norm(normals, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_update_rows(self, cloud, mu):
+        pts, normals = cloud.points, cloud.normals
+        index = build_neighbor_index(pts)
+        nbrs = index.k_nearest_all(self.K)
+        h = 4.0 * float(index.kth_distances(self.K).mean())
+        rows = slice(0, len(pts))
+        got = _projections(pts, normals, rows, nbrs)
+        want = reference_projections(pts, normals, rows, nbrs)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        params = FilterParams(k=self.K, mu=mu)
+        assert np.array_equal(
+            _update_rows(pts, normals, rows, nbrs, params, h),
+            reference_update_rows(pts, normals, rows, nbrs, params, h),
+        )
+
+    def test_pca_covariances(self, cloud, monkeypatch):
+        pts, k = cloud.points, self.K
+        covariances = []
+        eigh = np.linalg.eigh
+
+        def record(a):
+            covariances.append(a)
+            return eigh(a)
+
+        monkeypatch.setattr(core, "BLOCK_ROWS", len(pts))
+        monkeypatch.setattr(np.linalg, "eigh", record)
+        estimate_normals_pca(PointCloud(pts), k)
+        nbrs = build_neighbor_index(pts).k_nearest_all(k)
+        patches = np.concatenate([pts[:, None, :], pts[nbrs]], axis=1)
+        centered = patches - patches.mean(axis=1, keepdims=True)
+        want = np.einsum("ipa,ipb->iab", centered, centered) / (k + 1)
+        assert len(covariances) == 1
+        assert np.array_equal(covariances[0], want)
+
+    def test_orient_edge_weights(self, cloud, monkeypatch):
+        pts, normals, k = cloud.points, cloud.normals, ORIENT_GRAPH_K
+        weights = []
+
+        def record(arg, *args, **kwargs):
+            weights.append(arg[0].copy())  # sort_indices reorders the graph's data in place
+            return csr_matrix(arg, *args, **kwargs)
+
+        monkeypatch.setattr("cloudfilter.normals.csr_matrix", record)
+        orient_normals(PointCloud(pts), normals)
+        nbrs = build_neighbor_index(pts).k_nearest_all(k)
+        n_a = np.repeat(normals, k, axis=0)
+        dots = np.einsum("ij,ij->i", n_a, normals[nbrs.ravel()])
+        # the first graph built is the k-NN graph
+        assert np.array_equal(weights[0], np.maximum(1.0 - np.abs(dots), _MIN_WEIGHT))
+
+    def test_bilateral_filter_normals(self, cloud):
+        pts, normals = cloud.points, cloud.normals
+        params = BilateralParams(k=self.K)
+        index = build_neighbor_index(pts)
+        sigma_s = 2.0 * float(index.kth_distances(self.K).mean())
+        want = reference_bilateral(pts, normals, index.k_nearest_all(self.K), sigma_s, params)
+        assert np.array_equal(bilateral_filter_normals(cloud, normals, params), want)
+
+
 def noisy_cube(seed):
     return add_gaussian_noise(make_shape("cube", 6), NoiseSpec(0.005, seed))
 
@@ -240,6 +369,14 @@ class TestThreadContract:
             assert got_diag == want_diag
 
 
+def sphere_20k():
+    """20,000 points near the unit sphere, with their radial normals."""
+    rng = np.random.default_rng(0)
+    radial = rng.normal(size=(20_000, 3))
+    radial /= np.linalg.norm(radial, axis=1, keepdims=True)
+    return PointCloud(radial + rng.normal(0.0, 0.002, radial.shape), radial)
+
+
 def traced_peak(compute):
     """Peak bytes that numpy and Python allocate during compute()."""
     tracemalloc.start()
@@ -261,10 +398,7 @@ class TestQueryMemory:
     def sphere(self, monkeypatch):
         monkeypatch.setattr(core, "WORKERS", 2)
         monkeypatch.setattr(core, "BLOCK_ROWS", 1024)
-        rng = np.random.default_rng(0)
-        radial = rng.normal(size=(self.M, 3))
-        radial /= np.linalg.norm(radial, axis=1, keepdims=True)
-        return PointCloud(radial + rng.normal(0.0, 0.002, radial.shape), radial)
+        return sphere_20k()
 
     def test_k_nearest_all(self, sphere):
         index = build_neighbor_index(sphere.points)
