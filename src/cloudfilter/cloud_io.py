@@ -4,7 +4,9 @@ Both readers split the file into lines by Python's universal-newline rule,
 and np.loadtxt (through _parse_table) is the only code that turns body text
 into numbers, so both formats accept numpy's number grammar and nothing
 else. A body it rejects, or one with a width the format forbids, raises
-CloudIOError naming `path:line` of the first line at fault. Writing formats
+CloudIOError naming `path:line` of the first line at fault. Bytes that do
+not decode are kept as lone surrogates (errors="surrogateescape"): a comment
+may hold them, and in a body they are a malformed number. Writing formats
 every value as %.9g, a block of rows at a time.
 """
 
@@ -97,7 +99,7 @@ def _body_table(path, numbered, width_ok, width_error):
 
 
 def _read_xyz(path):
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         table = _parse_table(fh)
         if table is None or table.shape[1] not in (3, 6):
             # Drop blank and whole-line "#" lines; a "#" after a value stays and fails.
@@ -110,7 +112,7 @@ def _read_xyz(path):
 
 
 def _read_ply_ascii(path):
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         lines = fh.readlines()
     if not lines or lines[0].strip() != "ply":
         raise CloudIOError(f"{path}: not a PLY file")

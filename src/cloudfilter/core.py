@@ -54,6 +54,24 @@ def for_row_blocks(fn, m):
         list(pool.map(fn, blocks))  # re-raises the first block's exception
 
 
+# Kernel widths (the support radius h, bilateral sigma_s and sigma_r) are
+# accepted in [KERNEL_WIDTH_MIN, KERNEL_WIDTH_MAX]. A kernel divides at most 4
+# by a squared width: (1 - n_i.n_j)^2 <= 4, and r^2 / (h/2)^2 = 4 r^2 / h^2
+# with r <= 1 in the unit-diagonal frame. Inside the range both the square
+# and that quotient are normal floats, so no kernel overflows or warns.
+KERNEL_WIDTH_MIN = 1e-150
+KERNEL_WIDTH_MAX = 1e150
+
+
+def check_kernel_width(name, width):
+    """Raise ValueError naming the width unless it lies in
+    [KERNEL_WIDTH_MIN, KERNEL_WIDTH_MAX]."""
+    if not KERNEL_WIDTH_MIN <= width <= KERNEL_WIDTH_MAX:
+        raise ValueError(
+            f"{name} = {width:g} is outside [{KERNEL_WIDTH_MIN:g}, {KERNEL_WIDTH_MAX:g}]"
+        )
+
+
 def _check_k(k, m):
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -14,7 +14,13 @@ cancels from that ratio, so none is applied.
 import numpy as np
 from dataclasses import dataclass
 
-from .core import PointCloud, as_normals, build_neighbor_index, for_row_blocks
+from .core import (
+    PointCloud,
+    as_normals,
+    build_neighbor_index,
+    check_kernel_width,
+    for_row_blocks,
+)
 
 # Tangential offsets shorter than this are clamped before beta divides by
 # them, so coincident neighbors give a finite weight.
@@ -76,14 +82,17 @@ def resolve_support_radius(params, points):
 
     Raises ValueError when the auto radius is 0 (every point has k
     coincident others, as in an all-coincident cloud), where theta would
-    divide by zero.
+    divide by zero, and when h lies outside core.KERNEL_WIDTH_MIN..MAX,
+    where theta would overflow or divide by zero.
     """
     if params.h_mode == "fixed":
-        return params.h_value
-    index = build_neighbor_index(points)
-    h = params.h_value * float(index.kth_distances(params.k).mean())
-    if not h > 0:
-        raise ValueError("degenerate support radius")
+        h = params.h_value
+    else:
+        index = build_neighbor_index(points)
+        h = params.h_value * float(index.kth_distances(params.k).mean())
+        if not h > 0:
+            raise ValueError("degenerate support radius")
+    check_kernel_width("support radius h", h)
     return h
 
 
@@ -178,9 +187,9 @@ def filter_iteration(cloud, normals, params):
     """
     pts = cloud.points
     normals = as_normals(normals, len(pts))
+    h = resolve_support_radius(params, pts)  # checks h before any row block
     index = build_neighbor_index(pts)
     nbrs = index.k_nearest_all(params.k)
-    h = resolve_support_radius(params, pts)
 
     new_pts = _update_all(pts, normals, nbrs, params, h)
     del nbrs, index  # freed before the new positions get theirs

@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import (
     minimum_spanning_tree,
 )
 
-from .core import as_normals, build_neighbor_index, for_row_blocks
+from .core import as_normals, build_neighbor_index, check_kernel_width, for_row_blocks
 
 # k-NN graph connectivity used for sign propagation
 ORIENT_GRAPH_K = 8
@@ -180,19 +180,22 @@ def bilateral_filter_normals(cloud, normals, params):
     Passes are Jacobi-style: each reads only the previous pass's normals.
 
     Raises ValueError when the automatic sigma_s is 0 (every point has k
-    coincident others, as in an all-coincident cloud).
+    coincident others, as in an all-coincident cloud), and when sigma_s or
+    sigma_r lies outside core.KERNEL_WIDTH_MIN..MAX.
     """
     pts = cloud.points
     m = len(pts)
     normals = as_normals(normals, m)
     k = min(params.k, m - 1)
+    check_kernel_width("bilateral sigma_r", params.sigma_r)
     index = build_neighbor_index(pts)
-    nbrs = index.k_nearest_all(k)
     sigma_s = params.sigma_s
     if sigma_s is None:
         sigma_s = 2.0 * float(index.kth_distances(k).mean())
         if not sigma_s > 0:  # every point has k coincident others
             raise ValueError("degenerate bilateral scale")
+    check_kernel_width("bilateral sigma_s", sigma_s)
+    nbrs = index.k_nearest_all(k)
 
     ws = np.empty(nbrs.shape)
 

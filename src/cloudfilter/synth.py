@@ -26,28 +26,35 @@ def _grid(n):
     return np.linspace(-0.5 + step / 2, 0.5 - step / 2, n)
 
 
-def _plane(n):
-    u, v = np.meshgrid(_grid(n), _grid(n), indexing="ij")
-    pts = np.column_stack([u.ravel(), v.ravel(), np.zeros(n * n)])
-    normals = np.tile([0.0, 0.0, 1.0], (n * n, 1))
-    return pts, normals
+# Square faces as (origin, u axis, v axis, outward normal). A face's samples
+# are origin + u*du + v*dv over the _grid(n) cell centres, u-major.
+_SQUARE_FACES = {
+    "plane": [((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))],
+    "cube": [
+        ((0.5, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0)),
+        ((-0.5, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0)),
+        ((0, 0.5, 0), (1, 0, 0), (0, 0, 1), (0, 1, 0)),
+        ((0, -0.5, 0), (1, 0, 0), (0, 0, 1), (0, -1, 0)),
+        ((0, 0, 0.5), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((0, 0, -0.5), (1, 0, 0), (0, 1, 0), (0, 0, -1)),
+    ],
+    # two unit squares meeting at a right angle along the y axis
+    "wedge": [
+        ((0.5, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((0, 0, 0.5), (0, 0, 1), (0, 1, 0), (1, 0, 0)),
+    ],
+}
 
 
-def _cube(n):
+def _squares(faces, n):
     u, v = np.meshgrid(_grid(n), _grid(n), indexing="ij")
-    u, v = u.ravel(), v.ravel()
-    half = np.full(n * n, 0.5)
-    faces = [
-        (np.column_stack([half, u, v]), [1, 0, 0]),
-        (np.column_stack([-half, u, v]), [-1, 0, 0]),
-        (np.column_stack([u, half, v]), [0, 1, 0]),
-        (np.column_stack([u, -half, v]), [0, -1, 0]),
-        (np.column_stack([u, v, half]), [0, 0, 1]),
-        (np.column_stack([u, v, -half]), [0, 0, -1]),
-    ]
-    pts = np.vstack([f[0] for f in faces])
-    normals = np.vstack([np.tile(f[1], (n * n, 1)) for f in faces])
-    return pts, normals
+    u, v = u.reshape(-1, 1), v.reshape(-1, 1)
+    origin, du, dv, normal = (
+        np.array(column, dtype=np.float64)[:, None, :] for column in zip(*faces)
+    )
+    pts = origin + u * du + v * dv  # (faces, n*n, 3)
+    normals = np.broadcast_to(normal, pts.shape)
+    return pts.reshape(-1, 3), normals.reshape(-1, 3)
 
 
 def _sphere(n):
@@ -63,20 +70,6 @@ def _sphere(n):
     upper = np.column_stack([radius * np.cos(phi), radius * np.sin(phi), z])
     pts = np.vstack([upper, -upper])
     return pts, pts.copy()
-
-
-def _wedge(n):
-    # two unit squares meeting at a right angle along the y axis
-    u, v = np.meshgrid(_grid(n) + 0.5, _grid(n), indexing="ij")
-    u, v = u.ravel(), v.ravel()
-    zeros = np.zeros(n * n)
-    bottom = np.column_stack([u, v, zeros])
-    side = np.column_stack([zeros, v, u])
-    pts = np.vstack([bottom, side])
-    normals = np.vstack(
-        [np.tile([0.0, 0.0, 1.0], (n * n, 1)), np.tile([1.0, 0.0, 0.0], (n * n, 1))]
-    )
-    return pts, normals
 
 
 def _icosahedron(n):
@@ -96,6 +89,12 @@ def _icosahedron(n):
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
     ]
+    # barycentric grid strictly inside each face: every (p, q) with
+    # p + q < n, p-major
+    p, q = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
+    wa = ((p + 1.0 / 3.0) / n)[:, None]
+    wb = ((q + 1.0 / 3.0) / n)[:, None]
+    wc = 1.0 - wa - wb
     pts, normals = [], []
     for ia, ib, ic in faces:
         a, b, c = verts[ia], verts[ib], verts[ic]
@@ -103,34 +102,24 @@ def _icosahedron(n):
         normal /= np.linalg.norm(normal)
         if normal @ (a + b + c) < 0:
             normal = -normal
-        # barycentric grid strictly inside the face
-        for p in range(n):
-            for q in range(n - p):
-                wa = (p + 1.0 / 3.0) / n
-                wb = (q + 1.0 / 3.0) / n
-                wc = 1.0 - wa - wb
-                pts.append(wa * a + wb * b + wc * c)
-                normals.append(normal)
-    return np.asarray(pts), np.asarray(normals)
-
-
-_BUILDERS = {
-    "plane": _plane,
-    "cube": _cube,
-    "sphere": _sphere,
-    "wedge": _wedge,
-    "icosahedron": _icosahedron,
-}
+        pts.append(wa * a + wb * b + wc * c)
+        normals.append(np.broadcast_to(normal, (len(p), 3)))
+    return np.vstack(pts), np.vstack(normals)
 
 
 def make_shape(kind, samples_per_unit):
     """Deterministic surface sampling with exact analytic normals,
     pre-normalized to unit bounding-box diagonal."""
-    if kind not in _BUILDERS:
+    if kind not in SHAPE_KINDS:
         raise ValueError(f"unknown shape kind: {kind!r}")
     if samples_per_unit < 2:
         raise ValueError("samples_per_unit must be >= 2")
-    pts, normals = _BUILDERS[kind](samples_per_unit)
+    if kind in _SQUARE_FACES:
+        pts, normals = _squares(_SQUARE_FACES[kind], samples_per_unit)
+    elif kind == "sphere":
+        pts, normals = _sphere(samples_per_unit)
+    else:
+        pts, normals = _icosahedron(samples_per_unit)
     cloud, _ = normalize_cloud(PointCloud(pts, normals))
     return cloud
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from cloudfilter import (
     theta,
     update_point,
 )
+from cloudfilter.core import KERNEL_WIDTH_MAX, KERNEL_WIDTH_MIN
 from cloudfilter.filtering import EPSILON_R, _update_all
 
 
@@ -67,6 +70,32 @@ class TestSupportRadius:
         pts = np.random.default_rng(0).random((9, 3))
         with pytest.raises(ValueError, match="k exceeds cloud size"):
             resolve_support_radius(FilterParams(k=9), pts)
+
+    @pytest.mark.parametrize("h_mode", ["fixed", "auto"])
+    def test_width_bounds(self, h_mode):
+        # on this grid the k=1 mean NN distance is exactly 1, so auto h
+        # equals h_value in both modes
+        g = np.arange(8.0)
+        x, y = np.meshgrid(g, g)
+        pts = np.column_stack([x.ravel(), y.ravel(), np.zeros(64)])
+        for h in (KERNEL_WIDTH_MIN, KERNEL_WIDTH_MAX):
+            assert resolve_support_radius(FilterParams(k=1, h_mode=h_mode, h_value=h), pts) == h
+        for h in (np.nextafter(KERNEL_WIDTH_MIN, 0), np.nextafter(KERNEL_WIDTH_MAX, np.inf),
+                  1e-200, 1e200):
+            params = FilterParams(k=1, h_mode=h_mode, h_value=h)
+            with pytest.raises(ValueError, match=r"^support radius h = .* is outside"):
+                resolve_support_radius(params, pts)
+
+    @pytest.mark.parametrize("h", [KERNEL_WIDTH_MIN, KERNEL_WIDTH_MAX])
+    def test_extreme_accepted_widths_filter_without_warning(self, h):
+        cloud = make_shape("plane", 10)
+        noisy = cloud.points + np.random.default_rng(2).normal(0.0, 0.01, cloud.points.shape)
+        params = FilterParams(k=10, t=1, h_mode="fixed", h_value=h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, history = filter_cloud(PointCloud(noisy), cloud.normals, params)
+        assert np.all(np.isfinite(out.points))
+        assert np.isfinite(history[0].data_energy)
 
 
 class TestDataEnergy:
@@ -181,7 +210,8 @@ class TestRepulsionWeightCancels:
         else:
             cloud = make_clustered_plane(5, 30, seed=3)
             pts, normals = cloud.points, cloud.normals
-        params = FilterParams(k=10, mu=0.3)
+        # h_value is pinned: the identity does not depend on the default
+        params = FilterParams(k=10, mu=0.3, h_value=4.0)
         nbrs = build_neighbor_index(pts).k_nearest_all(params.k)
         h = resolve_support_radius(params, pts)
         fast = _update_all(pts, normals, nbrs, params, h)

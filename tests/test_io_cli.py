@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -179,9 +180,16 @@ CAMERA = ["element camera 1", "property float a", "property float b", "property 
 # whose squares overflow
 HALF_ROOT = 1 / np.sqrt(2.0)
 
-# (case id, format, file text, outcome). The outcome is the exact result of
-# read_cloud: (points, normals) as lists, or (exception type, message) with
-# "{path}" standing for the file read. See TestFastReadParity.
+# A binary PLY of 50 float32 vertices: its body is not valid UTF-8
+BINARY_PLY = (
+    _ply([], count=50).replace("format ascii", "format binary_little_endian").encode()
+    + np.random.default_rng(0).random((50, 3)).astype("<f4").tobytes()
+)
+
+# (case id, format, file text or bytes, outcome). The outcome is the exact
+# result of read_cloud: (points, normals) as lists, or (exception type,
+# message) with "{path}" standing for the file read. Text is written as
+# UTF-8. See TestFastReadParity.
 PARITY_CASES = [
     ("xyz-3", "xyz", "1 2 3\n4 5 6\n", ([[1, 2, 3], [4, 5, 6]], None)),
     ("xyz-6", "xyz", "0 0 0 0 0 2\n1 1 1 0 1 0\n",
@@ -231,6 +239,8 @@ PARITY_CASES = [
     ("xyz-hex", "xyz", "0x10 2 3\n", (ERR, "{path}:1: malformed number")),
     ("xyz-zero-normal", "xyz", "0 0 0 0 0 1\n1 0 0 0 0 0\n",
      (ERR, "{path}: zero normal at point 1")),
+    ("xyz-latin1-comment", "xyz", b"# caf\xe9\n1 2 3\n", ([[1, 2, 3]], None)),
+    ("xyz-latin1-body-byte", "xyz", b"1 2 3\n4 5 6\xe9\n", (ERR, "{path}:2: malformed number")),
     ("xyz-empty", "xyz", "", (ERR, "{path}: empty cloud")),
     ("xyz-only-comments", "xyz", "# a\n\n# b\n", (ERR, "{path}: empty cloud")),
     ("ply-basic", "ply-ascii", _ply(["0 0 0", "1 2 3"]), ([[0, 0, 0], [1, 2, 3]], None)),
@@ -289,6 +299,11 @@ PARITY_CASES = [
     ("ply-binary", "ply-ascii",
      _ply(["0 0 0"]).replace("format ascii", "format binary_little_endian"),
      (ERR, "{path}:2: only ascii PLY supported")),
+    ("ply-binary-body", "ply-ascii", BINARY_PLY, (ERR, "{path}:2: only ascii PLY supported")),
+    ("ply-latin1-comment", "ply-ascii", _ply(["0 0 0"]).encode().replace(b"by hand", b"caf\xe9"),
+     ([[0, 0, 0]], None)),
+    ("ply-latin1-body-byte", "ply-ascii", _ply(["0 0 0", "1 2 3\xe9"]).encode("latin-1"),
+     (ERR, "{path}:10: malformed number")),
     ("ply-no-end-header", "ply-ascii", _ply(["0 0 0"]).replace("end_header\n", ""),
      (ERR, "{path}: missing vertex element or end_header")),
     ("ply-vertex-list-property", "ply-ascii",
@@ -341,7 +356,7 @@ class TestFastReadParity:
     )
     def test_same_as_line_parser(self, tmp_path, text, format, outcome):
         path = tmp_path / ("in.ply" if format == "ply-ascii" else "in.xyz")
-        path.write_bytes(text.encode())
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert _outcome(path, format) == _expected(outcome, path)
 
     @pytest.mark.parametrize("format", ["xyz", "ply-ascii"])
@@ -804,6 +819,26 @@ class TestCli:
         code = main(["filter", "--input", str(src), "--output", str(tmp_path / "o.xyz"), "--h", h])
         assert code == 1
         assert capsys.readouterr().err == "error [filter]: h_value must be finite and positive\n"
+        assert not (tmp_path / "o.xyz").exists()
+
+    @pytest.mark.parametrize("flag, value, stage, width", [
+        ("--h", "1e200", "filter", "support radius h"),
+        ("--h", "auto:1e200", "filter", "support radius h"),
+        ("--h", "1e-200", "filter", "support radius h"),
+        ("--h", "auto:1e-320", "filter", "support radius h"),
+        ("--bilateral-sigma-s", "1e200", "bilateral", "bilateral sigma_s"),
+        ("--bilateral-sigma-s", "1e-200", "bilateral", "bilateral sigma_s"),
+        ("--bilateral-sigma-r", "1e200", "bilateral", "bilateral sigma_r"),
+        ("--bilateral-sigma-r", "1e-170", "bilateral", "bilateral sigma_r"),
+    ])
+    def test_out_of_range_width_rejected(self, tmp_path, capsys, flag, value, stage, width):
+        # the square of such a width overflows or underflows
+        src = tmp_path / "s.xyz"
+        write_cloud(make_shape("sphere", 12), src)
+        code = main(["filter", "--input", str(src), "--output", str(tmp_path / "o.xyz"), flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error \[{stage}\]: {width} = \S+ is outside \[1e-150, 1e\+150\]\n", err)
         assert not (tmp_path / "o.xyz").exists()
 
     @pytest.mark.parametrize("command", ["normals", "filter"])

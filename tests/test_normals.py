@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
@@ -11,7 +13,7 @@ from cloudfilter import (
     make_shape,
     orient_normals,
 )
-from cloudfilter.core import PointCloud, build_neighbor_index
+from cloudfilter.core import KERNEL_WIDTH_MAX, KERNEL_WIDTH_MIN, PointCloud, build_neighbor_index
 from cloudfilter.normals import _MIN_WEIGHT, ORIENT_GRAPH_K, _tree_signs
 from test_parallel import sphere_20k
 
@@ -300,6 +302,27 @@ class TestBilateralFilterNormals:
         cloud = PointCloud(np.ones((40, 3)), np.tile([0.0, 0.0, 1.0], (40, 1)))
         with pytest.raises(ValueError, match="degenerate bilateral scale"):
             bilateral_filter_normals(cloud, cloud.normals, BilateralParams(k=10))
+
+    @pytest.mark.parametrize("name", ["sigma_s", "sigma_r"])
+    def test_width_bounds(self, name):
+        cloud = make_shape("plane", 8)
+        noisy = self._perturbed(cloud, 0.1, seed=4)
+        for sigma in (KERNEL_WIDTH_MIN, KERNEL_WIDTH_MAX):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = bilateral_filter_normals(cloud, noisy, BilateralParams(k=10, **{name: sigma}))
+            assert np.all(np.isfinite(out))
+        for sigma in (np.nextafter(KERNEL_WIDTH_MIN, 0), np.nextafter(KERNEL_WIDTH_MAX, np.inf)):
+            with pytest.raises(ValueError, match=rf"^bilateral {name} = .* is outside"):
+                bilateral_filter_normals(cloud, noisy, BilateralParams(k=10, **{name: sigma}))
+
+    @pytest.mark.parametrize("scale", [1e-152, 1e152])
+    def test_auto_sigma_s_bounds(self, scale):
+        # the automatic sigma_s scales with the cloud as given
+        cloud = make_shape("plane", 8)
+        scaled = PointCloud(cloud.points * scale, cloud.normals)
+        with pytest.raises(ValueError, match=r"^bilateral sigma_s = .* is outside"):
+            bilateral_filter_normals(scaled, cloud.normals, BilateralParams(k=10))
 
     def test_invalid_params_rejected(self):
         for sigma in (0.0, -1.0, float("nan"), float("inf")):

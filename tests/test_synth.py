@@ -43,6 +43,15 @@ class TestMakeShape:
         radial = cloud.points / radii[:, None]
         assert np.allclose(cloud.normals, radial, atol=1e-9)
 
+    @pytest.mark.parametrize("kind", ["cube", "icosahedron"])
+    def test_samples_on_their_face_with_outward_normal(self, kind):
+        # centred and with equal faces, so every sample's distance along its
+        # normal is the same positive inradius
+        cloud = make_shape(kind, 6)
+        along = np.einsum("ij,ij->i", cloud.points, cloud.normals)
+        assert along.min() > 0
+        assert np.allclose(along, along[0], rtol=0, atol=1e-12)
+
     def test_wedge_two_faces(self):
         cloud = make_shape("wedge", 7)
         assert len(cloud) == 2 * 49
