@@ -1,6 +1,7 @@
 """Core geometric types: point clouds, exact k-NN index, normalization, and
 the row-block runner the per-point kernels share."""
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -58,7 +59,9 @@ def for_row_blocks(fn, m):
 # accepted in [KERNEL_WIDTH_MIN, KERNEL_WIDTH_MAX]. A kernel divides at most 4
 # by a squared width: (1 - n_i.n_j)^2 <= 4, and r^2 / (h/2)^2 = 4 r^2 / h^2
 # with r <= 1 in the unit-diagonal frame. Inside the range both the square
-# and that quotient are normal floats, so no kernel overflows or warns.
+# and that quotient are normal floats. Farther neighbours, as in a library
+# call on a larger cloud, overflow the quotient to inf; theta and bilateral's
+# spatial kernel then give their limit 0 without a warning.
 KERNEL_WIDTH_MIN = 1e-150
 KERNEL_WIDTH_MAX = 1e150
 
@@ -72,7 +75,15 @@ def check_kernel_width(name, width):
         )
 
 
+def check_integer(name, value):
+    """Raise ValueError naming the value unless it is an int or a numpy
+    integer, so a count such as k or t = 2.5 fails where it enters."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_k(k, m):
+    check_integer("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= m:
@@ -159,11 +170,15 @@ class NeighborIndex:
     platforms.
 
     The tie rule costs nothing on rows whose distances strictly rise: the
-    KD-tree already returns them in (distance, index) order, so they are
-    taken without a sort. Only rows with a tie or a coincident point are
-    sorted, and a row whose tie group may extend past the k-th neighbor is
-    re-queried with a doubling k until the query returns a point farther
-    than the k-th distance, which proves the whole tie group is covered.
+    KD-tree already returns them in (distance, index) order, so
+    k_nearest_all takes them without a sort. It hands every other row (a tie
+    or a coincident point) to one k_nearest call, the only code that applies
+    the rule. k_nearest sorts each row by (distance, index), and re-queries
+    a row whose tie group may extend past the k-th neighbor with a doubling
+    k until the query returns a point farther than the k-th distance, which
+    proves the whole tie group is covered. It works in row blocks, and each
+    query returns at most BLOCK_ROWS * (k + 2) neighbours or one row, so its
+    temporaries stay bounded per worker.
 
     Neighbour indices are INDEX_DTYPE (int32), so an (M, k) table takes
     4 M k bytes, and a cloud may hold at most 2**31 - 1 points.
@@ -195,65 +210,64 @@ class NeighborIndex:
 
     def k_nearest(self, query_idx, k):
         """INDEX_DTYPE indices of the k nearest points to point `query_idx`
-        (self excluded)."""
+        (self excluded): (k,) for one index, (n, k) for an array of n."""
         m = self.count
-        if not 0 <= query_idx < m:
+        queries = np.asarray(query_idx)
+        if np.any((queries < 0) | (queries >= m)):
             raise IndexError("query index out of range")
         _check_k(k, m)
-        p = self._points[query_idx]
-        kq = k + 2
-        while True:
-            kq = min(kq, m)
-            dist, idx = self._tree.query(p, k=kq)
-            cand = idx != query_idx
-            d, j = dist[cand], idx[cand]
+        flat = queries.reshape(-1)
+        out = np.empty((len(flat), k), dtype=INDEX_DTYPE)
+
+        def resolve(rows, kq):
+            """Write out[rows] from one kq-point query; return the rows whose
+            tie group at the k-th distance the query may have cut off."""
+            q = flat[rows]
+            dist, idx = self._tree.query(self._points[q], k=kq, workers=1)
+            farthest = dist[:, -1]
+            # mask self out with +inf and lexsort each row by (distance, index)
+            dist = np.where(idx == q[:, None], np.inf, dist)
+            order = np.lexsort((idx, dist), axis=-1)[:, :k]
+            out[rows] = np.take_along_axis(idx, order, axis=-1)
             # A farther point returned means the tie group at the k-th
             # distance is fully covered; growing further only appends.
-            if kq == m or dist[-1] > d[k - 1]:
-                break
-            kq *= 2
-        order = np.lexsort((j, d))
-        return j[order[:k]].astype(INDEX_DTYPE)
+            kth = np.take_along_axis(dist, order[:, -1:], axis=-1)[:, 0]
+            return rows[farthest <= kth] if kq < m else rows[:0]
+
+        def block(rows):
+            todo, kq = np.arange(rows.start, rows.stop), k + 2
+            while len(todo):
+                kq = min(kq, m)
+                # at most BLOCK_ROWS * (k + 2) neighbours, or one row, per query
+                step = max(1, BLOCK_ROWS * (k + 2) // kq)
+                cut = [resolve(todo[s : s + step], kq) for s in range(0, len(todo), step)]
+                todo, kq = np.concatenate(cut), 2 * kq
+
+        for_row_blocks(block, len(flat))
+        return out.reshape(queries.shape + (k,))
 
     def k_nearest_all(self, k):
-        """(M, k) INDEX_DTYPE neighbor indices for every point, same tie rule
-        as k_nearest.
-
-        The rows are queried in blocks, so the query's temporaries are
-        bounded per worker; only the (M, k) output spans the whole cloud.
-        """
+        """(M, k) INDEX_DTYPE neighbor indices for every point, in row blocks
+        that bound the query's temporaries per worker. Rows whose distances
+        do not strictly rise go to one k_nearest call, on the calling thread."""
         m = self.count
         _check_k(k, m)
         kq = min(k + 2, m)
         out = np.empty((m, k), dtype=INDEX_DTYPE)
-        suspect = np.zeros(m, dtype=bool)
+        tied = np.empty(m, dtype=bool)
 
         def block(rows):
             dist, idx = self._tree.query(self._points[rows], k=kq, workers=1)
             # Rows whose distances strictly rise are already in (distance,
             # index) order with no tie at the k-th place. Only one point sits
             # at distance 0 there, so column 0 is self.
-            fast = np.all(dist[:, 1:] > dist[:, :-1], axis=1)
             out[rows] = idx[:, 1 : k + 1]
-            slow = np.flatnonzero(~fast)
-            dist, idx = dist[slow], idx[slow]
-            self_col = idx == (rows.start + slow)[:, None]
-            # mask self out with +inf and lexsort each row by (distance, index)
-            dist = np.where(self_col, np.inf, dist)
-            order = np.lexsort((idx, dist), axis=-1)
-            d_sorted = np.take_along_axis(dist, order, axis=-1)
-            out[rows.start + slow] = np.take_along_axis(idx, order, axis=-1)[:, :k]
-            # rows where the tie group at the k-th distance may be cut off
-            # need the exact path; so do rows the query cut self from, as all
-            # their distances are then 0
-            if kq < m:
-                suspect[rows.start + slow] = d_sorted[:, k - 1] == d_sorted[:, k]
+            tied[rows] = np.any(dist[:, 1:] <= dist[:, :-1], axis=1)
 
         for_row_blocks(block, m)
-        # k_nearest is a NeighborIndex method, so it runs on the calling
-        # thread, after the blocks, in ascending row order
-        for i in np.flatnonzero(suspect):
-            out[i] = self.k_nearest(i, k)
+        flagged = np.flatnonzero(tied)
+        if len(flagged):
+            out[flagged] = self.k_nearest(flagged, k)
         return out
 
     def nearest_distances(self):

@@ -18,6 +18,7 @@ from .core import (
     PointCloud,
     as_normals,
     build_neighbor_index,
+    check_integer,
     check_kernel_width,
     for_row_blocks,
 )
@@ -42,6 +43,8 @@ class FilterParams:
     h_value: float = 4.0
 
     def __post_init__(self):
+        check_integer("k", self.k)
+        check_integer("t", self.t)
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not (np.isfinite(self.mu) and self.mu >= 0):
@@ -65,9 +68,12 @@ class IterationDiagnostics:
 
 
 def theta(r, h):
-    """Smoothly decaying weight exp(-r^2 / (h/2)^2)."""
+    """Smoothly decaying weight exp(-r^2 / (h/2)^2). Where the argument
+    overflows (r far beyond h) it is -inf, and the weight its limit 0."""
     r = np.asarray(r, dtype=np.float64)
-    return np.exp(-(r**2) / (h / 2.0) ** 2)
+    with np.errstate(over="ignore"):
+        arg = -(r**2) / (h / 2.0) ** 2
+    return np.exp(arg)
 
 
 def beta(r, h):

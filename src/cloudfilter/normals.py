@@ -9,7 +9,13 @@ from scipy.sparse.csgraph import (
     minimum_spanning_tree,
 )
 
-from .core import as_normals, build_neighbor_index, check_kernel_width, for_row_blocks
+from .core import (
+    as_normals,
+    build_neighbor_index,
+    check_integer,
+    check_kernel_width,
+    for_row_blocks,
+)
 
 # k-NN graph connectivity used for sign propagation
 ORIENT_GRAPH_K = 8
@@ -35,6 +41,8 @@ class BilateralParams:
     k: int = 30
 
     def __post_init__(self):
+        check_integer("iterations", self.iterations)
+        check_integer("k", self.k)
         if self.sigma_s is not None and not (np.isfinite(self.sigma_s) and self.sigma_s > 0):
             raise ValueError("sigma_s must be finite and positive")
         if not (np.isfinite(self.sigma_r) and self.sigma_r > 0):
@@ -202,7 +210,10 @@ def bilateral_filter_normals(cloud, normals, params):
     def spatial(rows):
         d = np.take(pts, nbrs[rows], axis=0) - pts[rows, None, :]
         dx, dy, dz = d[:, :, 0], d[:, :, 1], d[:, :, 2]
-        ws[rows] = np.exp(-(dx * dx + dy * dy + dz * dz) / sigma_s**2)
+        # a neighbour far beyond sigma_s overflows the argument to -inf,
+        # which gives the weight's limit 0
+        with np.errstate(over="ignore"):
+            ws[rows] = np.exp(-(dx * dx + dy * dy + dz * dz) / sigma_s**2)
 
     for_row_blocks(spatial, m)
 

@@ -40,6 +40,14 @@ def permuted_grid(n, seed):
     return pts[np.random.default_rng(seed).permutation(n * n)]
 
 
+def coincident_copies():
+    """40 random points, each repeated 1 to 3 times, rows shuffled."""
+    rng = np.random.default_rng(3)
+    base = rng.random((40, 3))
+    pts = np.repeat(base, rng.integers(1, 4, len(base)), axis=0)
+    return pts[rng.permutation(len(pts))]
+
+
 class ReversedTieTree:
     """KD-tree stand-in that breaks distance ties by higher index, the
     opposite of the tie rule, and records the points, k and workers of every
@@ -178,11 +186,12 @@ class TestNeighborIndex:
         tree = index._tree
         index.k_nearest_all(6)
         # one-thread queries of BLOCK_ROWS-row blocks that cover every row
-        # once, then single-point tie fallbacks
-        blocks = [x for x in tree.queried if x.ndim == 2]
-        fallbacks = [x for x in tree.queried if x.ndim == 1]
+        # once, then one-thread tie queries of at most BLOCK_ROWS rows each
+        n_blocks = -(-len(pts) // 7)
+        blocks, ties = tree.queried[:n_blocks], tree.queried[n_blocks:]
         assert sorted(map(len, blocks)) == [len(pts) % 7] + [7] * (len(pts) // 7)
-        assert fallbacks and set(tree.workers) == {1}
+        assert ties and all(x.ndim == 2 and 1 <= len(x) <= 7 for x in ties)
+        assert set(tree.workers) == {1}
         queried = np.concatenate(blocks)
         assert len(queried) == len(pts)
         assert np.array_equal(np.unique(queried, axis=0), np.unique(pts, axis=0))
@@ -192,6 +201,39 @@ class TestNeighborIndex:
         assert np.array_equal(index.nearest_distances(), brute_force_kth(pts, 1))
         assert tree.workers == [3, 3]
         assert tree.ks[-2:] == [[7], [2]]
+
+    @pytest.mark.parametrize("reversed_ties", [False, True])
+    @pytest.mark.parametrize("cloud", ["grid", "copies", "stacks"])
+    def test_batched_rows_match_single_rows(self, monkeypatch, cloud, reversed_ties):
+        # several blocks on two workers; rows out of order, some repeated.
+        # The stacks of 9 copies outgrow the first query, and some rows get
+        # self as its last column.
+        monkeypatch.setattr(core, "WORKERS", 2)
+        monkeypatch.setattr(core, "BLOCK_ROWS", 7)
+        if cloud == "grid":
+            pts = permuted_grid(12, seed=3)
+        elif cloud == "copies":
+            pts = coincident_copies()
+        else:
+            rng = np.random.default_rng(2)
+            pts = np.repeat(rng.random((8, 3)), 9, axis=0)[rng.permutation(72)]
+        m = len(pts)
+        index = neighbor_index(pts, reversed_ties)
+        perm = np.random.default_rng(1).permutation(m)
+        rows = np.concatenate([perm, perm[:5]])
+        for k in (1, 6, m - 1):
+            batched = index.k_nearest(rows, k)
+            assert batched.shape == (len(rows), k) and batched.dtype == core.INDEX_DTYPE
+            assert np.array_equal(batched, [index.k_nearest(i, k) for i in rows])
+            assert np.array_equal(batched, [brute_force_knn(pts, i, k) for i in rows])
+
+    @pytest.mark.parametrize("bad", [-1, 16])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_batched_index_out_of_range_rejected(self, bad, at):
+        index = build_neighbor_index(permuted_grid(4, seed=1))
+        rows = np.insert(np.array([3, 0, 15, 7]), at, bad)
+        with pytest.raises(IndexError, match="^query index out of range$"):
+            index.k_nearest(rows, 3)
 
     def test_coincident_points_tie_broken_by_index(self):
         pts = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0.0]])
@@ -234,6 +276,21 @@ class TestNeighborIndex:
         index = build_neighbor_index([[0, 0, 0], [1, 0, 0.0], [3, 0, 0.0]])
         with pytest.raises(ValueError, match="k must be >= 1"):
             query(index, k)
+
+    @pytest.mark.parametrize("query", [
+        lambda index, k: index.k_nearest(0, k),
+        lambda index, k: index.k_nearest(np.arange(3), k),
+        lambda index, k: index.k_nearest_all(k),
+        lambda index, k: index.kth_distances(k),
+    ], ids=["k_nearest", "k_nearest_rows", "k_nearest_all", "kth_distances"])
+    def test_k_must_be_an_integer(self, query):
+        pts = permuted_grid(4, seed=1)
+        index = build_neighbor_index(pts)
+        for k in (6.5, 6.0, "6"):
+            with pytest.raises(ValueError, match="^k must be an integer, got "):
+                query(index, k)
+        # numpy integers are integers
+        assert np.array_equal(np.asarray(query(index, np.int64(6))), query(index, 6))
 
     def test_source_points_not_mutated(self):
         rng = np.random.default_rng(3)

@@ -97,6 +97,17 @@ class TestSupportRadius:
         assert np.all(np.isfinite(out.points))
         assert np.isfinite(history[0].data_energy)
 
+    def test_smallest_width_on_large_cloud_filters_without_warning(self):
+        # neighbours far beyond h overflow theta's argument; their weight is 0
+        plane = make_shape("plane", 8)
+        cloud = PointCloud(plane.points * 1e5, plane.normals)
+        params = FilterParams(h_mode="fixed", h_value=KERNEL_WIDTH_MIN)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, _ = filter_cloud(cloud, cloud.normals, params)
+        # no repulsion weight survives, and the clean plane's data term is 0
+        assert np.array_equal(out.points, cloud.points)
+
 
 class TestDataEnergy:
     def test_coplanar_points_zero_energy(self):
@@ -303,6 +314,11 @@ class TestFilterParams:
             FilterParams(t=0)
         with pytest.raises(ValueError):
             FilterParams(h_mode="nope")
+        for name, value in (("k", 6.5), ("k", 6.0), ("t", 2.5)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                FilterParams(**{name: value})
+        # numpy integers are integers
+        FilterParams(k=np.int64(6), t=np.int32(2))
         for h_mode in ("auto", "fixed"):
             for h_value in (0.0, float("nan"), float("inf")):
                 with pytest.raises(ValueError, match="h_value"):

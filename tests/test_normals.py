@@ -107,6 +107,14 @@ class TestEstimateNormalsPca:
         with pytest.raises(ValueError, match="^k must be >= 3$"):
             estimate_normals_pca(cloud, 2)
 
+    def test_non_integral_k_rejected(self):
+        cloud = make_shape("plane", 10)
+        with pytest.raises(ValueError, match="^k must be an integer, got 6.5$"):
+            estimate_normals_pca(cloud, 6.5)
+        # numpy integers are integers
+        assert np.array_equal(estimate_normals_pca(cloud, np.int64(8))[0],
+                              estimate_normals_pca(cloud, 8)[0])
+
 
 class TestOrientNormals:
     def test_sphere_orientation_consistent(self):
@@ -316,6 +324,18 @@ class TestBilateralFilterNormals:
             with pytest.raises(ValueError, match=rf"^bilateral {name} = .* is outside"):
                 bilateral_filter_normals(cloud, noisy, BilateralParams(k=10, **{name: sigma}))
 
+    def test_smallest_sigma_s_on_large_cloud_smooths_without_warning(self):
+        # neighbours far beyond sigma_s overflow the spatial argument; with
+        # every spatial weight 0 each normal is kept
+        plane = make_shape("plane", 8)
+        cloud = PointCloud(plane.points * 1e5, plane.normals)
+        noisy = self._perturbed(plane, 0.1, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = BilateralParams(sigma_s=KERNEL_WIDTH_MIN)
+            out = bilateral_filter_normals(cloud, noisy, params)
+        assert np.array_equal(out, noisy)
+
     @pytest.mark.parametrize("scale", [1e-152, 1e152])
     def test_auto_sigma_s_bounds(self, scale):
         # the automatic sigma_s scales with the cloud as given
@@ -334,3 +354,8 @@ class TestBilateralFilterNormals:
             BilateralParams(iterations=0)
         with pytest.raises(ValueError, match="^k must be >= 3$"):
             BilateralParams(k=2)
+        for name, value in (("k", 6.5), ("iterations", 1.5), ("iterations", 2.0)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                BilateralParams(**{name: value})
+        # numpy integers are integers
+        BilateralParams(k=np.int64(6), iterations=np.int32(2))

@@ -31,7 +31,7 @@ from cloudfilter import (
 from cloudfilter.filtering import _projections, _update_all, _update_rows, beta, data_energy
 from cloudfilter.normals import _MIN_WEIGHT, ORIENT_GRAPH_K
 from cloudfilter.synth import NoiseSpec
-from test_core import ReversedTieTree, permuted_grid
+from test_core import ReversedTieTree, coincident_copies, permuted_grid
 
 # (BLOCK_ROWS, WORKERS); None is a block of at least the whole cloud with
 # the host's worker count, which computes every kernel as one array.
@@ -68,14 +68,6 @@ def assert_all_equal(results):
             assert all(np.array_equal(a, b) for a, b in zip(first, other))
         else:
             assert np.array_equal(first, other)
-
-
-def coincident_copies():
-    """40 random points, each repeated 1 to 3 times, rows shuffled."""
-    rng = np.random.default_rng(3)
-    base = rng.random((40, 3))
-    pts = np.repeat(base, rng.integers(1, 4, len(base)), axis=0)
-    return pts[rng.permutation(len(pts))]
 
 
 class TestBlockAndWorkerInvariance:
@@ -408,6 +400,31 @@ class TestQueryMemory:
         block_bytes = core.WORKERS * core.BLOCK_ROWS * (k + 2) * 32
         out_bytes = self.M * k * np.dtype(core.INDEX_DTYPE).itemsize
         assert traced_peak(lambda: index.k_nearest_all(k)) < out_bytes + block_bytes
+
+    @pytest.mark.parametrize("cloud", ["grid", "stacks"])
+    def test_k_nearest_all_on_tied_rows(self, monkeypatch, cloud):
+        # Nearly every row of a permuted grid plane is tied, so nearly the
+        # whole cloud goes through k_nearest. The rows of 1,000 copies of one
+        # point re-query at a doubling k up to 2,048 neighbours.
+        rng = np.random.default_rng(0)
+        if cloud == "grid":
+            pts, k = make_shape("plane", 141).points, 30
+        else:
+            copies = np.repeat(rng.random((1, 3)), 1000, axis=0)
+            pts, k = np.concatenate([rng.random((1000, 3)), copies]), 10
+        m = len(pts)
+        index = build_neighbor_index(pts[rng.permutation(m)])
+        monkeypatch.setattr(core, "WORKERS", 2)
+        monkeypatch.setattr(core, "BLOCK_ROWS", 1024)
+        # the int32 output and k_nearest's table of the tied rows; the tied
+        # mask and the intp row ids of the tied rows
+        tables = 2 * m * k * np.dtype(core.INDEX_DTYPE).itemsize + m * (1 + 8)
+        # per worker, one query of at most BLOCK_ROWS * (k + 2) neighbours:
+        # distances, indices, masked distances, lexsort order and gathered
+        # indices (8 bytes each), the lexsort's scratch and the masks, under
+        # 64 bytes a neighbour
+        blocks = core.WORKERS * core.BLOCK_ROWS * (k + 2) * 64
+        assert traced_peak(lambda: index.k_nearest_all(k)) < tables + blocks
 
     def test_kth_and_nearest_distances(self, sphere):
         index = build_neighbor_index(sphere.points)
