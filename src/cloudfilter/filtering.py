@@ -108,16 +108,16 @@ def data_energy(normals, index, k):
     pts = index.points
     normals = as_normals(normals, len(pts))
     nbrs = index.k_nearest_all(k)
-    # One (M, k) buffer of proj_j^2 + proj_i^2; np.sum runs over the whole
-    # array, so the bits do not depend on the block size.
-    sq = np.empty(nbrs.shape)
+    # Each row's sum of proj_j^2 + proj_i^2 over its patch; np.sum runs over
+    # the whole (M,) array, so the bits do not depend on the block size.
+    per_point = np.empty(len(pts))
 
     def block(rows):
         _, _, proj_j, proj_i = _projections(pts, normals, rows, nbrs[rows])
-        sq[rows] = np.square(proj_j) + np.square(proj_i)
+        per_point[rows] = np.einsum("ik->i", np.square(proj_j) + np.square(proj_i))
 
     for_row_blocks(block, len(pts))
-    return float(np.sum(sq))
+    return float(np.sum(per_point))
 
 
 def _projections(points, normals, rows, patches):

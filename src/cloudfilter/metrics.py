@@ -43,8 +43,9 @@ def evaluate(ground_truth, predicted, m=10):
 
     The only code that computes either metric. One ground-truth KD-tree
     serves both: the predicted-to-ground-truth distances of the Chamfer term
-    are column 0 of the MSE's m-nearest query.
+    are column 0 of the MSE's m-nearest query, which runs in row blocks.
     """
+    core.check_integer("m", m)
     a = as_points(ground_truth)
     b = as_points(predicted)
     if len(a) == 0 or len(b) == 0:
@@ -54,11 +55,17 @@ def evaluate(ground_truth, predicted, m=10):
     if len(a) < m:
         raise ValueError("too few ground-truth points")
     d_ab, _ = cKDTree(b).query(a, workers=core.WORKERS)
-    dist, _ = cKDTree(a).query(b, k=m, workers=core.WORKERS)
-    dist = dist.reshape(len(b), m)
+    tree = cKDTree(a)
+    sq = np.empty((len(b), m))  # squared distances to the m nearest
+
+    def block(rows):
+        dist, _ = tree.query(b[rows], k=m, workers=1)
+        sq[rows] = dist.reshape(-1, m) ** 2
+
+    core.for_row_blocks(block, len(b))
     return MetricReport(
-        chamfer=float(np.mean(d_ab**2) + np.mean(dist[:, 0] ** 2)),
-        mse=float(np.sum(dist**2)) / (len(b) * m),
+        chamfer=float(np.mean(d_ab**2) + np.mean(sq[:, 0])),
+        mse=float(np.sum(sq)) / (len(b) * m),
         s1_count=len(a),
         s2_count=len(b),
     )

@@ -136,8 +136,12 @@ def orient_normals(cloud, normals):
     graph.sort_indices()
     graph = graph.maximum(graph.T)
 
-    n_components, labels = connected_components(graph, directed=False)
-    mst = minimum_spanning_tree(graph).tocoo()
+    # The spanning tree may reuse the graph's arrays, and it has the graph's
+    # components with at most m - 1 edges, so they are taken from it.
+    mst = minimum_spanning_tree(graph, overwrite=True)
+    del graph
+    n_components, labels = connected_components(mst, directed=False)
+    mst = mst.tocoo()
 
     # Each component's root is its highest point, the lowest index among
     # equal heights. Every root hangs off a virtual node m whose normal is
@@ -186,6 +190,7 @@ def bilateral_filter_normals(cloud, normals, params):
     Each pass replaces every normal by the renormalized neighborhood sum
     weighted by exp(-d^2/sigma_s^2) * exp(-(1 - n_i.n_j)^2/sigma_r^2).
     Passes are Jacobi-style: each reads only the previous pass's normals.
+    A one-point cloud has no neighbour and keeps its normal.
 
     Raises ValueError when the automatic sigma_s is 0 (every point has k
     coincident others, as in an all-coincident cloud), and when sigma_s or
@@ -194,8 +199,10 @@ def bilateral_filter_normals(cloud, normals, params):
     pts = cloud.points
     m = len(pts)
     normals = as_normals(normals, m)
-    k = min(params.k, m - 1)
     check_kernel_width("bilateral sigma_r", params.sigma_r)
+    if m == 1:  # no neighbour to smooth with
+        return normals.copy()
+    k = min(params.k, m - 1)
     index = build_neighbor_index(pts)
     sigma_s = params.sigma_s
     if sigma_s is None:
@@ -205,24 +212,19 @@ def bilateral_filter_normals(cloud, normals, params):
     check_kernel_width("bilateral sigma_s", sigma_s)
     nbrs = index.k_nearest_all(k)
 
-    ws = np.empty(nbrs.shape)
-
-    def spatial(rows):
-        d = np.take(pts, nbrs[rows], axis=0) - pts[rows, None, :]
+    def smooth(rows):
+        patch = nbrs[rows]
+        d = np.take(pts, patch, axis=0) - pts[rows, None, :]
         dx, dy, dz = d[:, :, 0], d[:, :, 1], d[:, :, 2]
         # a neighbour far beyond sigma_s overflows the argument to -inf,
         # which gives the weight's limit 0
         with np.errstate(over="ignore"):
-            ws[rows] = np.exp(-(dx * dx + dy * dy + dz * dz) / sigma_s**2)
-
-    for_row_blocks(spatial, m)
-
-    def smooth(rows):
-        n_j = np.take(current, nbrs[rows], axis=0)
+            ws = np.exp(-(dx * dx + dy * dy + dz * dz) / sigma_s**2)
+        n_j = np.take(current, patch, axis=0)
         n_i = current[rows]
         dots = np.einsum("ikj,ij->ik", n_j, n_i)
         wr = np.exp(-((1.0 - dots) ** 2) / params.sigma_r**2)
-        weights = ws[rows] * wr
+        weights = ws * wr
         summed = np.einsum("ik,ikj->ij", weights, n_j)
         sx, sy, sz = summed[:, 0], summed[:, 1], summed[:, 2]
         norms = np.sqrt(sx * sx + sy * sy + sz * sz)

@@ -3,7 +3,7 @@
 import numpy as np
 from dataclasses import dataclass
 
-from .core import PointCloud, bbox_diagonal, normalize_cloud
+from .core import PointCloud, bbox_diagonal, check_integer, normalize_cloud
 
 SHAPE_KINDS = ("plane", "cube", "sphere", "wedge", "icosahedron")
 
@@ -112,6 +112,7 @@ def make_shape(kind, samples_per_unit):
     pre-normalized to unit bounding-box diagonal."""
     if kind not in SHAPE_KINDS:
         raise ValueError(f"unknown shape kind: {kind!r}")
+    check_integer("samples_per_unit", samples_per_unit)
     if samples_per_unit < 2:
         raise ValueError("samples_per_unit must be >= 2")
     if kind in _SQUARE_FACES:

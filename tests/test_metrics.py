@@ -96,8 +96,9 @@ class TestEvaluate:
             ([[0, 0, 0.0]], np.empty((0, 3)), 1, "empty point set"),
             ([[0, 0, 0.0]], [[1, 1, 1.0]], 0, "m must be >= 1"),
             ([[0, 0, 0.0]], [[1, 1, 1.0]], 2, "too few ground-truth points"),
+            ([[0, 0, 0.0]], [[1, 1, 1.0]], 2.5, "m must be an integer, got 2.5"),
         ],
-        ids=["empty-gt", "empty-predicted", "m-zero", "too-few-gt"],
+        ids=["empty-gt", "empty-predicted", "m-zero", "too-few-gt", "m-not-integer"],
     )
     def test_public_functions_share_errors(self, s1, s2, m, message):
         # chamfer_distance is evaluate at m=1, so only an empty set applies to it.

@@ -306,6 +306,12 @@ class TestBilateralFilterNormals:
         bilateral_filter_normals(cloud, noisy, BilateralParams(k=10))
         assert np.array_equal(noisy, before)
 
+    def test_single_point_keeps_its_normal(self):
+        normal = np.array([[0.0, 0.6, 0.8]])
+        out = bilateral_filter_normals(PointCloud([[0.0, 0.0, 0.0]]), normal, BilateralParams())
+        assert np.array_equal(out, normal)
+        assert not np.shares_memory(out, normal)
+
     def test_all_coincident_cloud_rejected(self):
         cloud = PointCloud(np.ones((40, 3)), np.tile([0.0, 0.0, 1.0], (40, 1)))
         with pytest.raises(ValueError, match="degenerate bilateral scale"):

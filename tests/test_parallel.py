@@ -380,9 +380,10 @@ def traced_peak(compute):
 
 
 class TestQueryMemory:
-    """The whole-cloud queries and the update, energy and orientation stages
-    on 20,000 points under 2 workers and the default block size hold no
-    whole-cloud temporaries beyond the arrays they return or need."""
+    """The whole-cloud queries and the update, energy, orientation, bilateral
+    and metric stages on 20,000 points under 2 workers and the default block
+    size hold no whole-cloud temporaries beyond the arrays they return or
+    need."""
 
     M = 20_000
 
@@ -470,22 +471,51 @@ class TestQueryMemory:
         peak = traced_peak(lambda: _update_all(sphere.points, sphere.normals, nbrs, params, 0.3))
         assert peak < out + blocks
 
-    def test_data_energy_holds_one_projection_buffer(self, sphere):
+    def test_data_energy_holds_one_sum_per_point(self, sphere):
         index = build_neighbor_index(sphere.points)
         m, k = self.M, 30
         table = m * k * np.dtype(core.INDEX_DTYPE).itemsize
-        buffer = m * k * 8  # one (M, k) float64 array of squared projections
+        sums = m * 8  # one float64 sum of squared projections per point
         # per worker, four (BLOCK_ROWS, k, 3) float64 arrays; the query's own
-        # blocks (see test_k_nearest_all) fit inside the buffer and these
+        # blocks (see test_k_nearest_all) fit inside these
         blocks = core.WORKERS * 4 * core.BLOCK_ROWS * k * 3 * 8
         peak = traced_peak(lambda: data_energy(sphere.normals, index, k))
-        assert peak < table + buffer + blocks
+        assert peak < table + sums + blocks
+
+    def test_bilateral_filter_normals(self, sphere):
+        params = BilateralParams()
+        m, k = self.M, params.k
+        # the indexed points, the int32 neighbour table, and the previous and
+        # current pass's normals; no (M, k) table of spatial weights
+        arrays = m * 3 * 8 + m * k * np.dtype(core.INDEX_DTYPE).itemsize + 2 * m * 3 * 8
+        # per worker, the gathered offsets and normals, (BLOCK_ROWS, k, 3)
+        # float64 each, and the (BLOCK_ROWS, k) weights and their
+        # temporaries: under four (BLOCK_ROWS, k, 3) blocks
+        blocks = core.WORKERS * 4 * core.BLOCK_ROWS * k * 3 * 8
+        peak = traced_peak(lambda: bilateral_filter_normals(sphere, sphere.normals, params))
+        assert peak < arrays + blocks
+
+    def test_evaluate(self, sphere):
+        n, m = self.M, 10
+        rng = np.random.default_rng(1)
+        predicted = sphere.points + rng.normal(0.0, 0.001, sphere.points.shape)
+        table = n * m * 8  # the (n, m) float64 squared distances
+        # six values per point: the two trees' index arrays, the Chamfer
+        # term's distances, indices and squares, and one to spare
+        per_point = 6 * n * 8
+        # per worker, one BLOCK_ROWS-row query's distances, indices and
+        # squares, with a fourth block to spare
+        blocks = core.WORKERS * 4 * core.BLOCK_ROWS * m * 8
+        peak = traced_peak(lambda: evaluate(sphere.points, predicted, m))
+        assert peak < table + per_point + blocks
 
     def test_orient_normals_whole_call(self, sphere):
         m, k = self.M, ORIENT_GRAPH_K
-        # normals copy and indexed points; then two symmetric graphs of up to
-        # 2 m k entries (float64 weight, int32 column) at once, the graph and
-        # the spanning tree's working copy; and up to 16 values per node for
-        # labels, index pointers and the breadth-first arrays
-        needed = 2 * m * 3 * 8 + 2 * (2 * m * k) * (8 + 4) + m * 16 * 8
+        # normals copy and indexed points; then, while graph.maximum(graph.T)
+        # runs, the graph and a CSR copy of its transpose (m k entries each,
+        # float64 weight and int32 column), their symmetric maximum (up to
+        # 2 m k entries) and the index pointers, under five values per node.
+        # The spanning tree may reuse the symmetric graph's arrays, and the
+        # later per-node arrays fit in what the graphs free.
+        needed = 2 * m * 3 * 8 + 4 * m * k * (8 + 4) + m * 5 * 8
         assert traced_peak(lambda: orient_normals(sphere, sphere.normals)) < needed

@@ -76,6 +76,11 @@ class TestMakeShape:
         with pytest.raises(ValueError):
             make_shape("plane", 1)
 
+    def test_non_integral_samples_rejected(self):
+        with pytest.raises(ValueError, match="^samples_per_unit must be an integer, got 2.5$"):
+            make_shape("plane", 2.5)
+        make_shape("plane", np.int64(2))  # numpy integers are integers
+
 
 class TestAddGaussianNoise:
     def test_seeded_reproducibility(self):
