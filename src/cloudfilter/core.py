@@ -1,6 +1,7 @@
 """Core geometric types: point clouds, exact k-NN index, normalization, and
 the row-block runner the per-point kernels share."""
 
+import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -75,17 +76,29 @@ def check_kernel_width(name, width):
         )
 
 
-def check_integer(name, value):
+def check_count(name, value, minimum):
     """Raise ValueError naming the value unless it is an int or a numpy
-    integer, so a count such as k or t = 2.5 fails where it enters."""
+    integer of at least `minimum`, so a count such as k = 2.5 or t = 0
+    fails where it enters."""
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
+def check_number(name, value, zero_ok=False):
+    """Raise ValueError naming the value unless it is a finite real number
+    above 0, or at least 0 when zero_ok: NaN, an infinity or a string such
+    as mu = "0.3" fails where it enters (an int too large for a float
+    raises math.isfinite's OverflowError)."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and value >= 0 and (zero_ok or value > 0)):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be finite and {sign}")
 
 
 def _check_k(k, m):
-    check_integer("k", k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_count("k", k, 1)
     if k >= m:
         raise ValueError("k exceeds cloud size")
 
@@ -151,9 +164,10 @@ class CloudTransform:
 
     def __post_init__(self):
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        if not np.all(np.isfinite(self.translation)):
+            raise ValueError("translation must be finite")
+        check_number("scale", self.scale)
         self.scale = float(self.scale)
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
 
     def apply(self, points):
         return (as_points(points) - self.translation) / self.scale
@@ -213,6 +227,8 @@ class NeighborIndex:
         (self excluded): (k,) for one index, (n, k) for an array of n."""
         m = self.count
         queries = np.asarray(query_idx)
+        if queries.dtype.kind not in "iu":
+            raise IndexError(f"query index must be an integer, got {queries.dtype.name}")
         if np.any((queries < 0) | (queries >= m)):
             raise IndexError("query index out of range")
         _check_k(k, m)
@@ -293,6 +309,8 @@ def bbox_diagonal(points):
     or overflow, the extent is first divided by its largest side; every
     other cloud keeps the plain norm's bits."""
     pts = as_points(points)
+    if len(pts) == 0:
+        raise ValueError("empty cloud")
     with np.errstate(over="ignore"):
         extent = pts.max(axis=0) - pts.min(axis=0)
         diag = float(np.linalg.norm(extent))

@@ -18,8 +18,9 @@ from .core import (
     PointCloud,
     as_normals,
     build_neighbor_index,
-    check_integer,
+    check_count,
     check_kernel_width,
+    check_number,
     for_row_blocks,
 )
 
@@ -43,18 +44,12 @@ class FilterParams:
     h_value: float = 4.0
 
     def __post_init__(self):
-        check_integer("k", self.k)
-        check_integer("t", self.t)
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not (np.isfinite(self.mu) and self.mu >= 0):
-            raise ValueError("mu must be finite and non-negative")
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
+        check_count("k", self.k, 1)
+        check_count("t", self.t, 1)
+        check_number("mu", self.mu, zero_ok=True)
         if self.h_mode not in ("auto", "fixed"):
             raise ValueError("h_mode must be 'auto' or 'fixed'")
-        if not (np.isfinite(self.h_value) and self.h_value > 0):
-            raise ValueError("h_value must be finite and positive")
+        check_number("h_value", self.h_value)
 
 
 @dataclass
@@ -134,6 +129,8 @@ def _projections(points, normals, rows, patches):
 def update_point(i, points, normals, patch, params, h):
     """Updated position of point i from its patch: one row of the kernel
     filter_iteration runs (see _update_rows)."""
+    if not 0 <= i < len(points):
+        raise IndexError("point index out of range")
     rows = np.array([i])
     return _update_rows(points, normals, rows, np.asarray(patch, np.intp)[None], params, h)[0]
 

@@ -45,13 +45,11 @@ def evaluate(ground_truth, predicted, m=10):
     serves both: the predicted-to-ground-truth distances of the Chamfer term
     are column 0 of the MSE's m-nearest query, which runs in row blocks.
     """
-    core.check_integer("m", m)
+    core.check_count("m", m, 1)
     a = as_points(ground_truth)
     b = as_points(predicted)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty point set")
-    if m < 1:
-        raise ValueError("m must be >= 1")
     if len(a) < m:
         raise ValueError("too few ground-truth points")
     d_ab, _ = cKDTree(b).query(a, workers=core.WORKERS)

@@ -12,8 +12,9 @@ from scipy.sparse.csgraph import (
 from .core import (
     as_normals,
     build_neighbor_index,
-    check_integer,
+    check_count,
     check_kernel_width,
+    check_number,
     for_row_blocks,
 )
 
@@ -41,16 +42,11 @@ class BilateralParams:
     k: int = 30
 
     def __post_init__(self):
-        check_integer("iterations", self.iterations)
-        check_integer("k", self.k)
-        if self.sigma_s is not None and not (np.isfinite(self.sigma_s) and self.sigma_s > 0):
-            raise ValueError("sigma_s must be finite and positive")
-        if not (np.isfinite(self.sigma_r) and self.sigma_r > 0):
-            raise ValueError("sigma_r must be finite and positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.k < 3:
-            raise ValueError("k must be >= 3")
+        if self.sigma_s is not None:
+            check_number("sigma_s", self.sigma_s)
+        check_number("sigma_r", self.sigma_r)
+        check_count("iterations", self.iterations, 1)
+        check_count("k", self.k, 3)
 
 
 def _lex_min_unit(basis):
@@ -76,8 +72,7 @@ def estimate_normals_pca(cloud, k):
     """
     pts = cloud.points
     m = len(pts)
-    if k < 3:
-        raise ValueError("k must be >= 3")
+    check_count("k", k, 3)
     index = build_neighbor_index(pts)
     nbrs = index.k_nearest_all(k)
     w = np.empty((m, 3))

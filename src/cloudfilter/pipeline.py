@@ -5,7 +5,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import cloud_io, metrics
-from .core import PointCloud, normalize_cloud
+from .core import PointCloud, check_count, normalize_cloud
 from .filtering import FilterParams, filter_cloud
 from .normals import BilateralParams, bilateral_filter_normals, estimate_normals_pca, orient_normals
 
@@ -34,6 +34,9 @@ class RunConfig:
             raise ValueError("input and output paths required")
         if self.normal_source not in ("pca", "file"):
             raise ValueError("normal source must be 'pca' or 'file'")
+        check_count("pca_k", self.pca_k, 3)
+        if self.format not in cloud_io.FORMATS:
+            raise ValueError(f"unknown format: {self.format!r}")
 
 
 def _stage(name, fn, *args, **kwargs):

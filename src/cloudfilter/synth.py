@@ -3,7 +3,7 @@
 import numpy as np
 from dataclasses import dataclass
 
-from .core import PointCloud, bbox_diagonal, check_integer, normalize_cloud
+from .core import PointCloud, bbox_diagonal, check_count, check_number, normalize_cloud
 
 SHAPE_KINDS = ("plane", "cube", "sphere", "wedge", "icosahedron")
 
@@ -16,8 +16,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.level) and self.level >= 0):
-            raise ValueError("noise level must be finite and non-negative")
+        check_number("noise level", self.level, zero_ok=True)
+        check_count("seed", self.seed, 0)
 
 
 def _grid(n):
@@ -112,9 +112,7 @@ def make_shape(kind, samples_per_unit):
     pre-normalized to unit bounding-box diagonal."""
     if kind not in SHAPE_KINDS:
         raise ValueError(f"unknown shape kind: {kind!r}")
-    check_integer("samples_per_unit", samples_per_unit)
-    if samples_per_unit < 2:
-        raise ValueError("samples_per_unit must be >= 2")
+    check_count("samples_per_unit", samples_per_unit, 2)
     if kind in _SQUARE_FACES:
         pts, normals = _squares(_SQUARE_FACES[kind], samples_per_unit)
     elif kind == "sphere":
@@ -139,10 +137,9 @@ def add_gaussian_noise(cloud, spec):
 def make_clustered_plane(clusters, points_per_cluster, seed=0):
     """Planar Gaussian blobs with exact plane normals; drives the uniformity
     ablation of the repulsion term."""
-    if clusters < 2:
-        raise ValueError("need at least 2 clusters")
-    if points_per_cluster < 1:
-        raise ValueError("need at least 1 point per cluster")
+    check_count("clusters", clusters, 2)
+    check_count("points_per_cluster", points_per_cluster, 1)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-0.5, 0.5, size=(clusters, 2))
     blobs = centers[:, None, :] + rng.normal(

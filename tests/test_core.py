@@ -234,6 +234,8 @@ class TestNeighborIndex:
         rows = np.insert(np.array([3, 0, 15, 7]), at, bad)
         with pytest.raises(IndexError, match="^query index out of range$"):
             index.k_nearest(rows, 3)
+        with pytest.raises(IndexError, match="^query index must be an integer, got float64$"):
+            index.k_nearest(np.array([3.0, 0.0, 15.0, 7.0]), 3)
 
     def test_coincident_points_tie_broken_by_index(self):
         pts = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0.0]])
@@ -249,10 +251,15 @@ class TestNeighborIndex:
         with pytest.raises(ValueError, match="invalid coordinate"):
             build_neighbor_index([[0.0, np.nan, 0.0]])
 
-    @pytest.mark.parametrize("query", [-1, 2])
-    def test_query_index_out_of_range_rejected(self, query):
+    @pytest.mark.parametrize("query, message", [
+        (-1, "out of range"),
+        (2, "out of range"),
+        (1.5, "must be an integer, got float64"),
+        (True, "must be an integer, got bool"),
+    ], ids=["-1", "2", "1.5", "True"])
+    def test_query_index_out_of_range_rejected(self, query, message):
         index = build_neighbor_index([[0, 0, 0], [1, 0, 0.0]])
-        with pytest.raises(IndexError, match="^query index out of range$"):
+        with pytest.raises(IndexError, match=f"^query index {message}$"):
             index.k_nearest(query, 1)
 
     def test_k_too_large_rejected(self):
@@ -389,6 +396,10 @@ class TestCloudTransform:
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
             CloudTransform([0, 0, 0], 0.0)
+        with pytest.raises(ValueError, match="^scale must be finite and positive$"):
+            CloudTransform([0, 0, 0], np.inf)
+        with pytest.raises(ValueError, match="^translation must be finite$"):
+            CloudTransform([np.nan, 0, 0], 1.0)
 
 
 class TestPointCloud:

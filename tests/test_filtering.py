@@ -181,6 +181,13 @@ class TestUpdatePoint:
         for i in range(80):
             assert np.array_equal(update_point(i, pts, normals, nbrs[i], params, h), blocked[i])
 
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_point_index_out_of_range_rejected(self, i):
+        points = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
+        normals = np.tile([0.0, 0.0, 1.0], (2, 1))
+        with pytest.raises(IndexError, match="^point index out of range$"):
+            update_point(i, points, normals, [0], FilterParams(k=1), h=0.5)
+
 
 def brute_force_weighted_update(points, normals, nbrs, mu, h, epsilon_r):
     """Jacobi update with the printed repulsion weight w = 1 + sum_j
@@ -307,7 +314,7 @@ class TestFilterParams:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             FilterParams(k=0)
-        for mu in (-0.1, float("nan"), float("inf")):
+        for mu in (-0.1, float("nan"), float("inf"), "0.3"):
             with pytest.raises(ValueError, match="mu"):
                 FilterParams(mu=mu)
         with pytest.raises(ValueError):
@@ -320,6 +327,6 @@ class TestFilterParams:
         # numpy integers are integers
         FilterParams(k=np.int64(6), t=np.int32(2))
         for h_mode in ("auto", "fixed"):
-            for h_value in (0.0, float("nan"), float("inf")):
+            for h_value in (0.0, float("nan"), float("inf"), "4"):
                 with pytest.raises(ValueError, match="h_value"):
                     FilterParams(h_mode=h_mode, h_value=h_value)

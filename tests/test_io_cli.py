@@ -690,6 +690,11 @@ class TestRunPipeline:
             RunConfig(input_path="", output_path="x")
         with pytest.raises(ValueError):
             RunConfig(input_path="a", output_path="b", normal_source="guess")
+        for pca_k, message in ((2, "pca_k must be >= 3"), (2.5, "pca_k must be an integer, got 2.5")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                RunConfig(input_path="a", output_path="b", pca_k=pca_k)
+        with pytest.raises(ValueError, match="^unknown format: 'foo'$"):
+            RunConfig(input_path="a", output_path="b", format="foo")
 
 
 class TestCli:
@@ -810,6 +815,18 @@ class TestCli:
         ])
         assert code == 1
         assert capsys.readouterr().err == "error [filter]: mu must be finite and non-negative\n"
+        assert not (tmp_path / "o.xyz").exists()
+
+    @pytest.mark.parametrize("command, message", [
+        ("filter", "error [filter]: pca_k must be >= 3\n"),
+        ("normals", "error [normals]: k must be >= 3\n"),
+    ], ids=["filter", "normals"])
+    def test_pca_k_below_three_rejected(self, tmp_path, capsys, command, message):
+        src = tmp_path / "s.xyz"
+        write_cloud(make_shape("plane", 8), src)
+        code = main([command, "--input", str(src), "--output", str(tmp_path / "o.xyz"), "--pca-k", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == message
         assert not (tmp_path / "o.xyz").exists()
 
     @pytest.mark.parametrize("h", ["inf", "auto:inf"])

@@ -109,8 +109,9 @@ class TestEstimateNormalsPca:
 
     def test_non_integral_k_rejected(self):
         cloud = make_shape("plane", 10)
-        with pytest.raises(ValueError, match="^k must be an integer, got 6.5$"):
-            estimate_normals_pca(cloud, 6.5)
+        for k in (6.5, 2.5):
+            with pytest.raises(ValueError, match=f"^k must be an integer, got {k}$"):
+                estimate_normals_pca(cloud, k)
         # numpy integers are integers
         assert np.array_equal(estimate_normals_pca(cloud, np.int64(8))[0],
                               estimate_normals_pca(cloud, 8)[0])
@@ -351,7 +352,7 @@ class TestBilateralFilterNormals:
             bilateral_filter_normals(scaled, cloud.normals, BilateralParams(k=10))
 
     def test_invalid_params_rejected(self):
-        for sigma in (0.0, -1.0, float("nan"), float("inf")):
+        for sigma in (0.0, -1.0, float("nan"), float("inf"), "0.3"):
             with pytest.raises(ValueError, match="sigma_r"):
                 BilateralParams(sigma_r=sigma)
             with pytest.raises(ValueError, match="sigma_s"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cloudfilter import NoiseSpec, add_gaussian_noise, make_clustered_plane, make_shape
-from cloudfilter.core import bbox_diagonal
+from cloudfilter.core import PointCloud, bbox_diagonal
 from cloudfilter.synth import SHAPE_KINDS
 
 
@@ -114,9 +114,19 @@ class TestAddGaussianNoise:
         assert np.array_equal(out.normals, cloud.normals)
 
     def test_negative_level_rejected(self):
-        for level in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="noise level"):
+        for level in (-0.1, float("nan"), float("inf"), "0.01"):
+            with pytest.raises(ValueError, match="^noise level must be finite and non-negative$"):
                 NoiseSpec(level)
+        for seed, message in ((1.5, "an integer, got 1.5"), (-1, ">= 0")):
+            with pytest.raises(ValueError, match=f"^seed must be {message}$"):
+                NoiseSpec(0.01, seed)
+
+    def test_empty_cloud_rejected(self):
+        empty = PointCloud(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="^empty cloud$"):
+            bbox_diagonal(empty.points)
+        with pytest.raises(ValueError, match="^empty cloud$"):
+            add_gaussian_noise(empty, NoiseSpec(0.01))
 
 
 class TestMakeClusteredPlane:
@@ -140,7 +150,13 @@ class TestMakeClusteredPlane:
         assert d.std() / d.mean() > 0.3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            make_clustered_plane(1, 10)
-        with pytest.raises(ValueError):
-            make_clustered_plane(3, 0)
+        for args, message in (
+            ((1, 10), "clusters must be >= 2"),
+            ((3, 0), "points_per_cluster must be >= 1"),
+            ((2.5, 10), "clusters must be an integer, got 2.5"),
+            ((3, 2.5), "points_per_cluster must be an integer, got 2.5"),
+            ((3, 10, 1.5), "seed must be an integer, got 1.5"),
+            ((3, 10, -1), "seed must be >= 0"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make_clustered_plane(*args)
