@@ -118,6 +118,7 @@ def _read_ply_ascii(path):
         raise CloudIOError(f"{path}: not a PLY file")
     elements = []  # (name, count, property lines' fields), in declared order
     body_start = None
+    has_format = False
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.strip().split()
         if not fields:
@@ -127,6 +128,7 @@ def _read_ply_ascii(path):
                 raise CloudIOError(f"{path}:{lineno}: malformed format line")
             if fields[1] != "ascii":
                 raise CloudIOError(f"{path}:{lineno}: only ascii PLY supported")
+            has_format = True
         elif fields[0] == "element":
             if len(fields) < 2:
                 raise CloudIOError(f"{path}:{lineno}: malformed element line")
@@ -145,6 +147,8 @@ def _read_ply_ascii(path):
         elif fields[0] == "end_header":
             body_start = lineno
             break
+    if not has_format:
+        raise CloudIOError(f"{path}: missing format line")
     names = [name for name, _, _ in elements]
     if "vertex" not in names or body_start is None:
         raise CloudIOError(f"{path}: missing vertex element or end_header")

@@ -78,9 +78,9 @@ def check_kernel_width(name, width):
 
 def check_count(name, value, minimum):
     """Raise ValueError naming the value unless it is an int or a numpy
-    integer of at least `minimum`, so a count such as k = 2.5 or t = 0
-    fails where it enters."""
-    if not isinstance(value, numbers.Integral):
+    integer, not a bool, of at least `minimum`, so a count such as k = 2.5,
+    k = True or t = 0 fails where it enters."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
@@ -88,11 +88,13 @@ def check_count(name, value, minimum):
 
 def check_number(name, value, zero_ok=False):
     """Raise ValueError naming the value unless it is a finite real number
-    above 0, or at least 0 when zero_ok: NaN, an infinity or a string such
-    as mu = "0.3" fails where it enters (an int too large for a float
-    raises math.isfinite's OverflowError)."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
-            and value >= 0 and (zero_ok or value > 0)):
+    above 0, or at least 0 when zero_ok: NaN, an infinity, a bool or a
+    string such as mu = "0.3" fails where it enters (an int too large for a
+    float raises math.isfinite's OverflowError)."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real) and math.isfinite(value)
+        and value >= 0 and (zero_ok or value > 0)
+    ):
         sign = "non-negative" if zero_ok else "positive"
         raise ValueError(f"{name} must be finite and {sign}")
 
@@ -183,15 +185,15 @@ class NeighborIndex:
     broken by lower point index so patches are deterministic across
     platforms.
 
-    The tie rule costs nothing on rows whose distances strictly rise: the
-    KD-tree already returns them in (distance, index) order, so
-    k_nearest_all takes them without a sort. It hands every other row (a tie
-    or a coincident point) to one k_nearest call, the only code that applies
-    the rule. k_nearest sorts each row by (distance, index), and re-queries
-    a row whose tie group may extend past the k-th neighbor with a doubling
-    k until the query returns a point farther than the k-th distance, which
-    proves the whole tie group is covered. It works in row blocks, and each
-    query returns at most BLOCK_ROWS * (k + 2) neighbours or one row, so its
+    _query, the one query step of k_nearest and k_nearest_all, applies the
+    rule. It costs nothing on rows whose distances strictly rise: the KD-tree
+    already returns them in (distance, index) order, so _query takes them
+    without a sort. It flags a tied row (a tie or a coincident point) as cut
+    off when its tie group may extend past the query, and sorts every other
+    tied row by (distance, index). k_nearest_all hands only cut-off rows to one
+    k_nearest call, which re-queries them with a doubling k until a returned
+    point lies past the k-th distance, proving the tie group covered. Each
+    query returns at most BLOCK_ROWS * (k + 2) neighbours or one row, so
     temporaries stay bounded per worker.
 
     Neighbour indices are INDEX_DTYPE (int32), so an (M, k) table takes
@@ -222,6 +224,25 @@ class NeighborIndex:
         view.flags.writeable = False
         return view
 
+    def _query(self, q, k, kq):
+        """One kq-point query of points q, min(k + 2, M) <= kq <= M: the (n, k)
+        neighbour table and the (n,) mask of cut-off rows, left unresolved."""
+        dist, idx = self._tree.query(self._points[q], k=kq, workers=1)
+        # a strictly rising row is in (distance, index) order, self first
+        out = idx[:, 1 : k + 1].astype(INDEX_DTYPE)
+        tied = np.any(dist[:, 1:] <= dist[:, :-1], axis=1)
+        # Distances come sorted: the k-th other is column k if self is in the
+        # first k, else k - 1. A returned point past it proves its tie group whole.
+        kth = np.where(np.any(idx[:, :k] == q[:, None], axis=1), dist[:, k], dist[:, k - 1])
+        cut = tied & (dist[:, -1] <= kth) & (kq < self.count)
+        rows = np.flatnonzero(tied & ~cut)
+        dist, idx = dist[rows], idx[rows]
+        # mask self out with +inf and lexsort each row by (distance, index)
+        masked = np.where(idx == q[rows, None], np.inf, dist)
+        order = np.lexsort((idx, masked), axis=-1)[:, :k]
+        out[rows] = np.take_along_axis(idx, order, axis=-1)
+        return out, cut
+
     def k_nearest(self, query_idx, k):
         """INDEX_DTYPE indices of the k nearest points to point `query_idx`
         (self excluded): (k,) for one index, (n, k) for an array of n."""
@@ -234,21 +255,7 @@ class NeighborIndex:
         _check_k(k, m)
         flat = queries.reshape(-1)
         out = np.empty((len(flat), k), dtype=INDEX_DTYPE)
-
-        def resolve(rows, kq):
-            """Write out[rows] from one kq-point query; return the rows whose
-            tie group at the k-th distance the query may have cut off."""
-            q = flat[rows]
-            dist, idx = self._tree.query(self._points[q], k=kq, workers=1)
-            farthest = dist[:, -1]
-            # mask self out with +inf and lexsort each row by (distance, index)
-            dist = np.where(idx == q[:, None], np.inf, dist)
-            order = np.lexsort((idx, dist), axis=-1)[:, :k]
-            out[rows] = np.take_along_axis(idx, order, axis=-1)
-            # A farther point returned means the tie group at the k-th
-            # distance is fully covered; growing further only appends.
-            kth = np.take_along_axis(dist, order[:, -1:], axis=-1)[:, 0]
-            return rows[farthest <= kth] if kq < m else rows[:0]
+        cut = np.empty(len(flat), dtype=bool)
 
         def block(rows):
             todo, kq = np.arange(rows.start, rows.stop), k + 2
@@ -256,32 +263,28 @@ class NeighborIndex:
                 kq = min(kq, m)
                 # at most BLOCK_ROWS * (k + 2) neighbours, or one row, per query
                 step = max(1, BLOCK_ROWS * (k + 2) // kq)
-                cut = [resolve(todo[s : s + step], kq) for s in range(0, len(todo), step)]
-                todo, kq = np.concatenate(cut), 2 * kq
+                for sub in np.split(todo, range(step, len(todo), step)):
+                    out[sub], cut[sub] = self._query(flat[sub], k, kq)
+                todo, kq = todo[cut[todo]], 2 * kq
 
         for_row_blocks(block, len(flat))
         return out.reshape(queries.shape + (k,))
 
     def k_nearest_all(self, k):
         """(M, k) INDEX_DTYPE neighbor indices for every point, in row blocks
-        that bound the query's temporaries per worker. Rows whose distances
-        do not strictly rise go to one k_nearest call, on the calling thread."""
+        that bound the query's temporaries per worker. Rows the first query may
+        have cut off go to one k_nearest call, on the calling thread."""
         m = self.count
         _check_k(k, m)
         kq = min(k + 2, m)
         out = np.empty((m, k), dtype=INDEX_DTYPE)
-        tied = np.empty(m, dtype=bool)
+        cut = np.empty(m, dtype=bool)
 
         def block(rows):
-            dist, idx = self._tree.query(self._points[rows], k=kq, workers=1)
-            # Rows whose distances strictly rise are already in (distance,
-            # index) order with no tie at the k-th place. Only one point sits
-            # at distance 0 there, so column 0 is self.
-            out[rows] = idx[:, 1 : k + 1]
-            tied[rows] = np.any(dist[:, 1:] <= dist[:, :-1], axis=1)
+            out[rows], cut[rows] = self._query(np.arange(rows.start, rows.stop), k, kq)
 
         for_row_blocks(block, m)
-        flagged = np.flatnonzero(tied)
+        flagged = np.flatnonzero(cut)
         if len(flagged):
             out[flagged] = self.k_nearest(flagged, k)
         return out

@@ -37,6 +37,8 @@ class RunConfig:
         check_count("pca_k", self.pca_k, 3)
         if self.format not in cloud_io.FORMATS:
             raise ValueError(f"unknown format: {self.format!r}")
+        if self.report_path and self.gt_path is None:
+            raise ValueError("report_path needs gt_path")
 
 
 def _stage(name, fn, *args, **kwargs):

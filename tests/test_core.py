@@ -168,6 +168,34 @@ class TestNeighborIndex:
                 assert list(all_nbrs[i]) == list(brute_force_knn(pts, i, k))
 
     @pytest.mark.parametrize("reversed_ties", [False, True])
+    @pytest.mark.parametrize("cloud", ["grid", "copies"])
+    @pytest.mark.parametrize("k", [6, 10])
+    def test_all_hands_only_cut_rows_to_k_nearest(
+        self, monkeypatch, k, cloud, reversed_ties
+    ):
+        # the first k + 2 query can cut off only a row whose k-th and
+        # (k+1)-th nearest other distances tie; every other row, tied or
+        # not, is resolved in its block
+        handed = []
+        k_nearest = core.NeighborIndex.k_nearest
+
+        def spy(index, rows, k):
+            handed.append(np.array(rows))
+            return k_nearest(index, rows, k)
+
+        monkeypatch.setattr(core.NeighborIndex, "k_nearest", spy)
+        pts = permuted_grid(12, seed=3) if cloud == "grid" else coincident_copies()
+        neighbor_index(pts, reversed_ties).k_nearest_all(k)
+        cut = np.flatnonzero(brute_force_kth(pts, k) == brute_force_kth(pts, k + 1))
+        assert len(cut) > 0
+        assert len(handed) == 1 and np.array_equal(handed[0], cut)
+        # a cloud with no distance ties never takes the tie path
+        handed.clear()
+        rand = np.random.default_rng(5).random((200, 3))
+        neighbor_index(rand, reversed_ties).k_nearest_all(k)
+        assert handed == []
+
+    @pytest.mark.parametrize("reversed_ties", [False, True])
     @pytest.mark.parametrize("offset", [1, 2])
     def test_all_query_covers_whole_cloud(self, offset, reversed_ties):
         # k = m - 1 and k = m - 2 query every point; grid and random rows

@@ -314,19 +314,19 @@ class TestFilterParams:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             FilterParams(k=0)
-        for mu in (-0.1, float("nan"), float("inf"), "0.3"):
-            with pytest.raises(ValueError, match="mu"):
+        for mu in (-0.1, float("nan"), float("inf"), "0.3", True):
+            with pytest.raises(ValueError, match="^mu must be finite and non-negative$"):
                 FilterParams(mu=mu)
         with pytest.raises(ValueError):
             FilterParams(t=0)
         with pytest.raises(ValueError):
             FilterParams(h_mode="nope")
-        for name, value in (("k", 6.5), ("k", 6.0), ("t", 2.5)):
+        for name, value in (("k", 6.5), ("k", 6.0), ("t", 2.5), ("k", True), ("t", True)):
             with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
                 FilterParams(**{name: value})
         # numpy integers are integers
         FilterParams(k=np.int64(6), t=np.int32(2))
         for h_mode in ("auto", "fixed"):
-            for h_value in (0.0, float("nan"), float("inf"), "4"):
+            for h_value in (0.0, float("nan"), float("inf"), "4", True):
                 with pytest.raises(ValueError, match="h_value"):
                     FilterParams(h_mode=h_mode, h_value=h_value)

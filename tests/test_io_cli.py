@@ -306,6 +306,8 @@ PARITY_CASES = [
      (ERR, "{path}:10: malformed number")),
     ("ply-no-end-header", "ply-ascii", _ply(["0 0 0"]).replace("end_header\n", ""),
      (ERR, "{path}: missing vertex element or end_header")),
+    ("ply-no-format-line", "ply-ascii", _ply(["0 0 0"]).replace("format ascii 1.0\n", ""),
+     (ERR, "{path}: missing format line")),
     ("ply-vertex-list-property", "ply-ascii",
      _ply(["0 0 0 1 5", "1 2 3 2 5 6"], after_vertex=["property list uchar int tags"]),
      (ERR, "{path}: vertex list property tags is not supported")),
@@ -507,6 +509,13 @@ class TestPlyHeaderErrors:
         with pytest.raises(CloudIOError, match=r"h\.ply:2: malformed format line"):
             read_cloud(path, format="ply-ascii")
 
+    def test_missing_format_line(self, tmp_path):
+        path = tmp_path / "h.ply"
+        path.write_text("ply\nelement vertex 2\nproperty float x\nproperty float y\n"
+                        "property float z\nend_header\n0 0 0\n1 2 3\n")
+        with pytest.raises(CloudIOError, match=r"h\.ply: missing format line$"):
+            read_cloud(path, format="ply-ascii")
+
 
 def _old_write_rows(values):
     """The writer's former per-value formatting, as the byte reference."""
@@ -695,6 +704,8 @@ class TestRunPipeline:
                 RunConfig(input_path="a", output_path="b", pca_k=pca_k)
         with pytest.raises(ValueError, match="^unknown format: 'foo'$"):
             RunConfig(input_path="a", output_path="b", format="foo")
+        with pytest.raises(ValueError, match="^report_path needs gt_path$"):
+            RunConfig(input_path="a", output_path="b", report_path="r.txt")
 
 
 class TestCli:
@@ -828,6 +839,16 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == message
         assert not (tmp_path / "o.xyz").exists()
+
+    def test_report_without_gt_rejected(self, tmp_path, capsys):
+        # the report compares against --gt, so without it none could be written
+        src = tmp_path / "s.xyz"
+        write_cloud(make_shape("plane", 8), src)
+        out, report = tmp_path / "o.xyz", tmp_path / "r.txt"
+        code = main(["filter", "--input", str(src), "--output", str(out), "--report", str(report)])
+        assert code == 1
+        assert capsys.readouterr().err == "error [filter]: report_path needs gt_path\n"
+        assert not out.exists() and not report.exists()
 
     @pytest.mark.parametrize("h", ["inf", "auto:inf"])
     def test_infinite_h_rejected(self, tmp_path, capsys, h):

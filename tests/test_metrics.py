@@ -97,13 +97,14 @@ class TestEvaluate:
             ([[0, 0, 0.0]], [[1, 1, 1.0]], 0, "m must be >= 1"),
             ([[0, 0, 0.0]], [[1, 1, 1.0]], 2, "too few ground-truth points"),
             ([[0, 0, 0.0]], [[1, 1, 1.0]], 2.5, "m must be an integer, got 2.5"),
+            ([[0, 0, 0.0]], [[1, 1, 1.0]], True, "m must be an integer, got True"),
         ],
-        ids=["empty-gt", "empty-predicted", "m-zero", "too-few-gt", "m-not-integer"],
+        ids=["empty-gt", "empty-predicted", "m-zero", "too-few-gt", "m-not-integer", "m-bool"],
     )
     def test_public_functions_share_errors(self, s1, s2, m, message):
         # chamfer_distance is evaluate at m=1, so only an empty set applies to it.
         calls = [lambda: evaluate(s1, s2, m=m), lambda: mean_square_error(s1, s2, m=m)]
-        if m == 1:
+        if message == "empty point set":
             calls.append(lambda: chamfer_distance(s1, s2))
         for call in calls:
             with pytest.raises(ValueError) as err:

@@ -352,7 +352,7 @@ class TestBilateralFilterNormals:
             bilateral_filter_normals(scaled, cloud.normals, BilateralParams(k=10))
 
     def test_invalid_params_rejected(self):
-        for sigma in (0.0, -1.0, float("nan"), float("inf"), "0.3"):
+        for sigma in (0.0, -1.0, float("nan"), float("inf"), "0.3", True):
             with pytest.raises(ValueError, match="sigma_r"):
                 BilateralParams(sigma_r=sigma)
             with pytest.raises(ValueError, match="sigma_s"):
@@ -361,7 +361,9 @@ class TestBilateralFilterNormals:
             BilateralParams(iterations=0)
         with pytest.raises(ValueError, match="^k must be >= 3$"):
             BilateralParams(k=2)
-        for name, value in (("k", 6.5), ("iterations", 1.5), ("iterations", 2.0)):
+        for name, value in (
+            ("k", 6.5), ("iterations", 1.5), ("iterations", 2.0), ("k", True), ("iterations", True)
+        ):
             with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
                 BilateralParams(**{name: value})
         # numpy integers are integers

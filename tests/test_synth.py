@@ -114,10 +114,12 @@ class TestAddGaussianNoise:
         assert np.array_equal(out.normals, cloud.normals)
 
     def test_negative_level_rejected(self):
-        for level in (-0.1, float("nan"), float("inf"), "0.01"):
+        for level in (-0.1, float("nan"), float("inf"), "0.01", True):
             with pytest.raises(ValueError, match="^noise level must be finite and non-negative$"):
                 NoiseSpec(level)
-        for seed, message in ((1.5, "an integer, got 1.5"), (-1, ">= 0")):
+        for seed, message in (
+            (1.5, "an integer, got 1.5"), (-1, ">= 0"), (False, "an integer, got False")
+        ):
             with pytest.raises(ValueError, match=f"^seed must be {message}$"):
                 NoiseSpec(0.01, seed)
 
