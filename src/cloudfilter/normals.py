@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import (
 )
 
 from .core import (
+    INDEX_DTYPE,
     as_normals,
     build_neighbor_index,
     check_count,
@@ -73,8 +74,7 @@ def estimate_normals_pca(cloud, k):
     pts = cloud.points
     m = len(pts)
     check_count("k", k, 3)
-    index = build_neighbor_index(pts)
-    nbrs = index.k_nearest_all(k)
+    nbrs = build_neighbor_index(pts).k_nearest_all(k)
     w = np.empty((m, 3))
     v = np.empty((m, 3, 3))
 
@@ -100,9 +100,13 @@ def estimate_normals_pca(cloud, k):
 def orient_normals(cloud, normals):
     """Flip normal signs for global consistency.
 
-    Propagates signs over a minimum spanning tree of the k-NN graph
-    (edge weight 1 - |n_a.n_b|); each connected component is rooted at its
-    maximum-z point, oriented toward +z. Returns (oriented_normals,
+    Propagates signs over a minimum spanning tree of the undirected k-NN
+    graph (edge weight 1 - |n_a.n_b|); each connected component is rooted
+    at its maximum-z point, oriented toward +z. The graph holds each edge
+    {a, b}, a < b, once, at row a, with each row's columns sorted. The
+    spanning tree breaks equal-weight ties by that order, which is the order
+    of the first copies in the symmetric graph; a second copy always closes
+    a cycle, so both graphs give the same tree. Returns (oriented_normals,
     component_count).
     """
     pts = cloud.points
@@ -110,26 +114,7 @@ def orient_normals(cloud, normals):
     normals = as_normals(normals, m).copy()  # its signs are flipped in place
     if m == 1:
         return normals, 1
-    k = min(ORIENT_GRAPH_K, m - 1)
-    index = build_neighbor_index(pts)
-    nbrs = index.k_nearest_all(k)
-
-    weights = np.empty((m, k))
-
-    def edge_weights(block):
-        dots = np.einsum("ikj,ij->ik", np.take(normals, nbrs[block], axis=0), normals[block])
-        weights[block] = np.maximum(1.0 - np.abs(dots), _MIN_WEIGHT)
-
-    for_row_blocks(edge_weights, m)
-    # Row i of the neighbour table is row i of the graph, k entries each.
-    graph = csr_matrix(
-        (weights.ravel(), nbrs.ravel(), np.arange(0, m * k + 1, k)), shape=(m, m)
-    )
-    del nbrs, weights
-    # Sorted column indices, as a COO build gives them: the MST breaks
-    # equal-weight ties by their order.
-    graph.sort_indices()
-    graph = graph.maximum(graph.T)
+    graph = _knn_graph(pts, normals, min(ORIENT_GRAPH_K, m - 1))
 
     # The spanning tree may reuse the graph's arrays, and it has the graph's
     # components with at most m - 1 edges, so they are taken from it.
@@ -155,6 +140,55 @@ def orient_normals(cloud, normals):
     tree_dots = np.matmul(extended[parent, None, :], extended[:, :, None]).ravel()
     normals *= _tree_signs(parent, tree_dots)[:m, None]  # in place: this call's copy
     return normals, n_components
+
+
+def _knn_graph(points, normals, k):
+    """Upper-triangular CSR matrix of the undirected k-NN graph of `points`.
+
+    Entry (a, b), a < b, is the edge {a, b} with weight
+    max(1 - |n_a.n_b|, _MIN_WEIGHT); each row's columns rise strictly.
+    """
+    m = len(points)
+    nbrs = build_neighbor_index(points).k_nearest_all(k)
+
+    # Entry (i, j) is the edge's first copy unless j < i and row j holds i.
+    first = np.empty(nbrs.shape, dtype=bool)
+
+    def first_copies(rows):
+        patch = nbrs[rows]
+        row_ids = np.arange(rows.start, rows.stop, dtype=nbrs.dtype)[:, None]
+        mutual = (np.take(nbrs, patch, axis=0) == row_ids[:, :, None]).any(axis=2)
+        first[rows] = (patch > row_ids) | ~mutual
+
+    for_row_blocks(first_copies, m)
+    ends = np.concatenate([[0], np.cumsum(np.count_nonzero(first, axis=1))])
+    keys = np.empty(ends[-1], dtype=np.int64)  # lo * m + hi per edge
+
+    def edge_keys(rows):
+        patch = nbrs[rows]
+        row_ids = np.arange(rows.start, rows.stop, dtype=np.int64)[:, None]
+        kept = first[rows]
+        lo = np.minimum(patch, row_ids)[kept]
+        hi = np.maximum(patch, row_ids)[kept]
+        keys[ends[rows.start]:ends[rows.stop]] = lo * m + hi
+
+    for_row_blocks(edge_keys, m)
+    del nbrs, first, ends
+    keys.sort()
+    indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int64) * m)
+    cols = np.empty(len(keys), dtype=INDEX_DTYPE)
+    weights = np.empty(len(keys))
+
+    def edge_weights(rows):
+        span = slice(indptr[rows.start], indptr[rows.stop])
+        lo = keys[span] // m
+        hi = keys[span] - lo * m
+        cols[span] = hi
+        dots = np.einsum("ij,ij->i", np.take(normals, lo, axis=0), np.take(normals, hi, axis=0))
+        weights[span] = np.maximum(1.0 - np.abs(dots), _MIN_WEIGHT)
+
+    for_row_blocks(edge_weights, m)
+    return csr_matrix((weights, cols, indptr), shape=(m, m))
 
 
 def _tree_signs(parent, dots):
@@ -206,6 +240,7 @@ def bilateral_filter_normals(cloud, normals, params):
             raise ValueError("degenerate bilateral scale")
     check_kernel_width("bilateral sigma_s", sigma_s)
     nbrs = index.k_nearest_all(k)
+    del index  # its points copy and tree are not needed by the passes
 
     def smooth(rows):
         patch = nbrs[rows]

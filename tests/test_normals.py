@@ -20,7 +20,8 @@ from test_parallel import sphere_20k
 
 def dfs_orient(cloud, normals):
     """Reference orientation: the former depth-first sign propagation, one
-    `@` per tree edge, over the same k-NN graph and spanning forest."""
+    `@` per tree edge, over the same k-NN graph and spanning forest. Returns
+    (oriented, n_components, spanning_forest)."""
     pts = cloud.points
     normals = np.array(normals, dtype=np.float64)
     m = len(pts)
@@ -54,7 +55,15 @@ def dfs_orient(cloud, normals):
                     oriented[b] = -oriented[b]
                 visited[b] = True
                 stack.append(b)
-    return oriented, n_components
+    return oriented, n_components, mst
+
+
+def tree_edges(tree):
+    """(lo, hi) rows of a sparse forest's edges, lo < hi, in lexicographic
+    order."""
+    tree = tree.tocoo()
+    pairs = np.column_stack([np.minimum(tree.row, tree.col), np.maximum(tree.row, tree.col)])
+    return pairs[np.lexsort(pairs.T[::-1])]
 
 
 def random_signs(normals, seed):
@@ -163,12 +172,27 @@ class TestOrientNormals:
 
 
 class TestOrientMatchesDepthFirstReference:
+    @pytest.fixture(autouse=True)
+    def record_trees(self, monkeypatch):
+        """Keep a copy of each spanning forest orient_normals builds."""
+        self.trees = []
+        build = normals_module.minimum_spanning_tree
+
+        def record(*args, **kwargs):
+            tree = build(*args, **kwargs)
+            self.trees.append(tree.copy())
+            return tree
+
+        monkeypatch.setattr(normals_module, "minimum_spanning_tree", record)
+
     def _assert_same(self, points, normals):
         cloud = PointCloud(points)
         given = np.array(normals, dtype=np.float64)
         oriented, n_components = orient_normals(cloud, given)
         assert np.array_equal(given, normals)  # the caller's array is not flipped
-        expected, expected_components = dfs_orient(cloud, normals)
+        expected, expected_components, expected_tree = dfs_orient(cloud, normals)
+        # the same spanning forest as the symmetric graph's, edge for edge
+        assert np.array_equal(tree_edges(self.trees[-1]), tree_edges(expected_tree))
         assert n_components == expected_components
         assert np.array_equal(oriented, expected)
         assert np.array_equal(np.signbit(oriented), np.signbit(expected))
@@ -185,6 +209,27 @@ class TestOrientMatchesDepthFirstReference:
         normals = random_signs(np.vstack([cube.normals] * 3), 4)
         _, n_components = self._assert_same(pts, normals)
         assert n_components == 3
+
+    @pytest.mark.parametrize("kind, samples", [("icosahedron", 20), ("wedge", 24)])
+    def test_creased_shape_with_random_signs(self, kind, samples):
+        # Creases give exact-zero dots and many equal edge weights, so the
+        # spanning tree's tie order decides which edges orient the normals.
+        cloud = make_shape(kind, samples)
+        self._assert_same(cloud.points, random_signs(cloud.normals, 8))
+
+    def test_tiny_tie_heavy_clouds(self):
+        # 2 to 9 points on a coarse lattice, some repeated, with lattice
+        # normals: k = m - 1, so every edge is in both rows, and equal
+        # weights and distances abound.
+        for seed in range(32):
+            rng = np.random.default_rng(seed)
+            m = 2 + seed % 8
+            pts = rng.integers(0, 3, size=(m, 3)).astype(np.float64)
+            pts[rng.random(m) < 0.3] = pts[0]
+            normals = rng.integers(-1, 2, size=(m, 3)).astype(np.float64)
+            normals[~normals.any(axis=1)] = [0.0, 0.0, 1.0]
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+            self._assert_same(pts, random_signs(normals, seed))
 
     def test_sphere_with_noisy_random_normals(self):
         # Non-axis-aligned normals: per-edge dots round, and near-perpendicular

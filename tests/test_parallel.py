@@ -251,20 +251,25 @@ class TestKernelBits:
         assert np.array_equal(covariances[0], want)
 
     def test_orient_edge_weights(self, cloud, monkeypatch):
-        pts, normals, k = cloud.points, cloud.normals, ORIENT_GRAPH_K
-        weights = []
+        pts, normals = cloud.points, cloud.normals
+        graphs = []
 
         def record(arg, *args, **kwargs):
-            weights.append(arg[0].copy())  # sort_indices reorders the graph's data in place
-            return csr_matrix(arg, *args, **kwargs)
+            graph = csr_matrix(arg, *args, **kwargs)
+            graphs.append(graph.copy())  # the spanning tree overwrites the graph
+            return graph
 
         monkeypatch.setattr("cloudfilter.normals.csr_matrix", record)
         orient_normals(PointCloud(pts), normals)
-        nbrs = build_neighbor_index(pts).k_nearest_all(k)
-        n_a = np.repeat(normals, k, axis=0)
-        dots = np.einsum("ij,ij->i", n_a, normals[nbrs.ravel()])
-        # the first graph built is the k-NN graph
-        assert np.array_equal(weights[0], np.maximum(1.0 - np.abs(dots), _MIN_WEIGHT))
+        graph = graphs[0]  # the first graph built is the k-NN graph
+        rows = np.repeat(np.arange(len(pts)), np.diff(graph.indptr))
+        cols = graph.indices
+        assert np.all(rows < cols)
+        assert np.all(np.diff(cols)[np.diff(rows) == 0] > 0)  # each row's columns rise
+        nbrs = build_neighbor_index(pts).k_nearest_all(ORIENT_GRAPH_K)
+        assert np.array_equal(np.column_stack([rows, cols]), undirected_edges(nbrs))
+        dots = np.einsum("ij,ij->i", normals[rows], normals[cols])
+        assert np.array_equal(graph.data, np.maximum(1.0 - np.abs(dots), _MIN_WEIGHT))
 
     def test_bilateral_filter_normals(self, cloud):
         pts, normals = cloud.points, cloud.normals
@@ -369,6 +374,14 @@ def sphere_20k():
     return PointCloud(radial + rng.normal(0.0, 0.002, radial.shape), radial)
 
 
+def undirected_edges(nbrs):
+    """(lo, hi) rows, lo < hi, of each edge of the k-NN graph `nbrs` once, in
+    lexicographic order."""
+    rows = np.repeat(np.arange(len(nbrs)), nbrs.shape[1])
+    cols = nbrs.ravel()
+    return np.unique(np.column_stack([np.minimum(rows, cols), np.maximum(rows, cols)]), axis=0)
+
+
 def traced_peak(compute):
     """Peak bytes that numpy and Python allocate during compute()."""
     tracemalloc.start()
@@ -435,8 +448,9 @@ class TestQueryMemory:
         assert traced_peak(lambda: index.nearest_distances()) < bound
 
     def test_orient_normals_gathers_no_edge_arrays(self, sphere, monkeypatch):
-        # The edge weights are orient's only per-edge computation; stop at
-        # the graph build, whose sparse arrays would hide them in the peak.
+        # The edge keys and weights are orient's only per-edge computations;
+        # stop at the graph build, whose sparse arrays would hide them in the
+        # peak.
         class GraphBuild(Exception):
             pass
 
@@ -445,16 +459,19 @@ class TestQueryMemory:
 
         monkeypatch.setattr("cloudfilter.normals.csr_matrix", stop)
         m, k = self.M, ORIENT_GRAPH_K
+        edges = len(undirected_edges(build_neighbor_index(sphere.points).k_nearest_all(k)))
 
         def orient():
             with pytest.raises(GraphBuild):
                 orient_normals(sphere, sphere.normals)
 
-        # normals copy and indexed points, the int32 neighbour table and the
-        # float64 edge weights; per worker, the repeated and gathered
-        # (BLOCK_ROWS * k, 3) normals and the (BLOCK_ROWS * k,) dots and weights
-        # take three blocks, with a fourth to spare
-        arrays = 2 * m * 3 * 8 + m * k * np.dtype(core.INDEX_DTYPE).itemsize + m * k * 8
+        # normals copy and indexed points, the int32 neighbour table and its
+        # bool first-copy mask; per undirected edge, the int64 key, int32
+        # column and float64 weight; the index pointers and the row starts
+        # searched for. Per worker, a row block's gathered normals and its
+        # per-edge temporaries take under four (BLOCK_ROWS * k, 3) float64 blocks
+        arrays = (2 * m * 3 * 8 + m * k * (np.dtype(core.INDEX_DTYPE).itemsize + 1)
+                  + edges * (8 + 4 + 8) + 2 * (m + 1) * 8)
         blocks = core.WORKERS * 4 * core.BLOCK_ROWS * k * 3 * 8
         assert traced_peak(orient) < arrays + blocks
 
@@ -511,11 +528,11 @@ class TestQueryMemory:
 
     def test_orient_normals_whole_call(self, sphere):
         m, k = self.M, ORIENT_GRAPH_K
-        # normals copy and indexed points; then, while graph.maximum(graph.T)
-        # runs, the graph and a CSR copy of its transpose (m k entries each,
-        # float64 weight and int32 column), their symmetric maximum (up to
-        # 2 m k entries) and the index pointers, under five values per node.
-        # The spanning tree may reuse the symmetric graph's arrays, and the
-        # later per-node arrays fit in what the graphs free.
-        needed = 2 * m * 3 * 8 + 4 * m * k * (8 + 4) + m * 5 * 8
+        edges = len(undirected_edges(build_neighbor_index(sphere.points).k_nearest_all(k)))
+        # normals copy and indexed points, and under five values per node;
+        # per undirected edge, the graph's float64 weight and int32 column,
+        # and the spanning tree's sort order and row ids, under 16 bytes
+        # (measured: about 12), in which the graph build's int64 keys fit.
+        # No transposed or symmetric copy.
+        needed = 2 * m * 3 * 8 + m * 5 * 8 + edges * (8 + 4 + 8 + 4 + 4)
         assert traced_peak(lambda: orient_normals(sphere, sphere.normals)) < needed
