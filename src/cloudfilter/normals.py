@@ -151,38 +151,30 @@ def _knn_graph(points, normals, k):
     m = len(points)
     nbrs = build_neighbor_index(points).k_nearest_all(k)
 
-    # Entry (i, j) is the edge's first copy unless j < i and row j holds i.
-    first = np.empty(nbrs.shape, dtype=bool)
-
-    def first_copies(rows):
-        patch = nbrs[rows]
-        row_ids = np.arange(rows.start, rows.stop, dtype=nbrs.dtype)[:, None]
-        mutual = (np.take(nbrs, patch, axis=0) == row_ids[:, :, None]).any(axis=2)
-        first[rows] = (patch > row_ids) | ~mutual
-
-    for_row_blocks(first_copies, m)
-    ends = np.concatenate([[0], np.cumsum(np.count_nonzero(first, axis=1))])
-    keys = np.empty(ends[-1], dtype=np.int64)  # lo * m + hi per edge
+    # Key lo * m + hi per entry; the second copy of an edge (j < i and row
+    # j holds i) gets m * m, which sorts past every edge.
+    keys = np.empty(nbrs.shape, dtype=np.int64)
 
     def edge_keys(rows):
         patch = nbrs[rows]
-        row_ids = np.arange(rows.start, rows.stop, dtype=np.int64)[:, None]
-        kept = first[rows]
-        lo = np.minimum(patch, row_ids)[kept]
-        hi = np.maximum(patch, row_ids)[kept]
-        keys[ends[rows.start]:ends[rows.stop]] = lo * m + hi
+        row_ids = np.arange(rows.start, rows.stop, dtype=nbrs.dtype)[:, None]
+        mutual = (np.take(nbrs, patch, axis=0) == row_ids[:, :, None]).any(axis=2)
+        lo = np.minimum(patch, row_ids).astype(np.int64)
+        hi = np.maximum(patch, row_ids)
+        keys[rows] = np.where(mutual & (patch < row_ids), m * m, lo * m + hi)
 
     for_row_blocks(edge_keys, m)
-    del nbrs, first, ends
+    del nbrs
+    keys = keys.ravel()
     keys.sort()
+    keys = keys[:np.searchsorted(keys, m * m)]
     indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int64) * m)
     cols = np.empty(len(keys), dtype=INDEX_DTYPE)
     weights = np.empty(len(keys))
 
     def edge_weights(rows):
         span = slice(indptr[rows.start], indptr[rows.stop])
-        lo = keys[span] // m
-        hi = keys[span] - lo * m
+        lo, hi = np.divmod(keys[span], m)
         cols[span] = hi
         dots = np.einsum("ij,ij->i", np.take(normals, lo, axis=0), np.take(normals, hi, axis=0))
         weights[span] = np.maximum(1.0 - np.abs(dots), _MIN_WEIGHT)

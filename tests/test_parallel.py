@@ -465,13 +465,13 @@ class TestQueryMemory:
             with pytest.raises(GraphBuild):
                 orient_normals(sphere, sphere.normals)
 
-        # normals copy and indexed points, the int32 neighbour table and its
-        # bool first-copy mask; per undirected edge, the int64 key, int32
-        # column and float64 weight; the index pointers and the row starts
-        # searched for. Per worker, a row block's gathered normals and its
-        # per-edge temporaries take under four (BLOCK_ROWS * k, 3) float64 blocks
-        arrays = (2 * m * 3 * 8 + m * k * (np.dtype(core.INDEX_DTYPE).itemsize + 1)
-                  + edges * (8 + 4 + 8) + 2 * (m + 1) * 8)
+        # normals copy and indexed points, the int32 neighbour table and an
+        # int64 key per table entry; per undirected edge, the int32 column
+        # and float64 weight; the index pointers and the row starts searched
+        # for. Per worker, a row block's gathered normals and its per-edge
+        # temporaries take under four (BLOCK_ROWS * k, 3) float64 blocks
+        arrays = (2 * m * 3 * 8 + m * k * (np.dtype(core.INDEX_DTYPE).itemsize + 8)
+                  + edges * (4 + 8) + 2 * (m + 1) * 8)
         blocks = core.WORKERS * 4 * core.BLOCK_ROWS * k * 3 * 8
         assert traced_peak(orient) < arrays + blocks
 
@@ -532,7 +532,11 @@ class TestQueryMemory:
         # normals copy and indexed points, and under five values per node;
         # per undirected edge, the graph's float64 weight and int32 column,
         # and the spanning tree's sort order and row ids, under 16 bytes
-        # (measured: about 12), in which the graph build's int64 keys fit.
-        # No transposed or symmetric copy.
-        needed = 2 * m * 3 * 8 + m * 5 * 8 + edges * (8 + 4 + 8 + 4 + 4)
+        # (measured: about 12). The graph build's int64 key per table entry
+        # fits in those 16, as each edge fills one or two entries. Per
+        # worker, a row block's temporaries take under four
+        # (BLOCK_ROWS * k, 3) float64 blocks. No transposed or symmetric copy.
+        arrays = 2 * m * 3 * 8 + m * 5 * 8 + edges * (8 + 4 + 8 + 4 + 4)
+        blocks = core.WORKERS * 4 * core.BLOCK_ROWS * k * 3 * 8
+        needed = arrays + blocks
         assert traced_peak(lambda: orient_normals(sphere, sphere.normals)) < needed
