@@ -15,7 +15,7 @@ from cloudfilter import (
 )
 from cloudfilter.core import KERNEL_WIDTH_MAX, KERNEL_WIDTH_MIN, PointCloud, build_neighbor_index
 from cloudfilter.normals import _MIN_WEIGHT, ORIENT_GRAPH_K, _tree_signs
-from test_parallel import sphere_20k
+from test_parallel import edge_pairs, sphere_20k
 
 
 def dfs_orient(cloud, normals):
@@ -56,14 +56,6 @@ def dfs_orient(cloud, normals):
                 visited[b] = True
                 stack.append(b)
     return oriented, n_components, mst
-
-
-def tree_edges(tree):
-    """(lo, hi) rows of a sparse forest's edges, lo < hi, in lexicographic
-    order."""
-    tree = tree.tocoo()
-    pairs = np.column_stack([np.minimum(tree.row, tree.col), np.maximum(tree.row, tree.col)])
-    return pairs[np.lexsort(pairs.T[::-1])]
 
 
 def random_signs(normals, seed):
@@ -192,7 +184,8 @@ class TestOrientMatchesDepthFirstReference:
         assert np.array_equal(given, normals)  # the caller's array is not flipped
         expected, expected_components, expected_tree = dfs_orient(cloud, normals)
         # the same spanning forest as the symmetric graph's, edge for edge
-        assert np.array_equal(tree_edges(self.trees[-1]), tree_edges(expected_tree))
+        got, want = self.trees[-1].tocoo(), expected_tree.tocoo()
+        assert np.array_equal(edge_pairs(got.row, got.col), edge_pairs(want.row, want.col))
         assert n_components == expected_components
         assert np.array_equal(oriented, expected)
         assert np.array_equal(np.signbit(oriented), np.signbit(expected))

@@ -374,12 +374,15 @@ def sphere_20k():
     return PointCloud(radial + rng.normal(0.0, 0.002, radial.shape), radial)
 
 
-def undirected_edges(nbrs):
-    """(lo, hi) rows, lo < hi, of each edge of the k-NN graph `nbrs` once, in
+def edge_pairs(rows, cols):
+    """(lo, hi) rows, lo < hi, of the edges {rows[i], cols[i]}, each once, in
     lexicographic order."""
-    rows = np.repeat(np.arange(len(nbrs)), nbrs.shape[1])
-    cols = nbrs.ravel()
     return np.unique(np.column_stack([np.minimum(rows, cols), np.maximum(rows, cols)]), axis=0)
+
+
+def undirected_edges(nbrs):
+    """edge_pairs of the k-NN graph whose row i lists nbrs[i]."""
+    return edge_pairs(np.repeat(np.arange(len(nbrs)), nbrs.shape[1]), nbrs.ravel())
 
 
 def traced_peak(compute):
