@@ -119,7 +119,8 @@ def _projections(points, normals, rows, patches):
     """d = p_j - p_i and n_j, each (b, k, 3), and the (b, k) projections d.n_j
     and d.n_i of points[rows], row r over its patch patches[r]. The update
     and data_energy both take them from here."""
-    d = np.take(points, patches, axis=0) - points[rows][:, None, :]  # p_j - p_i
+    d = np.take(points, patches, axis=0)
+    d -= points[rows][:, None, :]  # p_j - p_i, in the gathered buffer
     n_j = np.take(normals, patches, axis=0)
     proj_j = np.einsum("ikj,ikj->ik", d, n_j)
     proj_i = np.einsum("ikj,ikj->ik", d, normals[rows, None, :])
@@ -148,7 +149,7 @@ def _update_rows(points, normals, rows, patches, params, h):
     p = points[rows]
     n_i = normals[rows, None, :]
     d, n_j, proj_j, proj_i = _projections(points, normals, rows, patches)
-    along_j = proj_j[:, :, None] * n_j
+    along_j = np.multiply(proj_j[:, :, None], n_j, out=n_j)  # n_j is not read again
     # The proj_i products stay a (b, k, 3) array: an einsum over the
     # broadcast n_i would sum proj_i first and change the bits.
     data_step = gamma * (np.einsum("ikj->ij", along_j)
@@ -156,7 +157,8 @@ def _update_rows(points, normals, rows, patches, params, h):
     if params.mu == 0.0:
         return p + data_step
 
-    tangential = along_j - d  # p_i - p_j minus its n_j component
+    # p_i - p_j minus its n_j component, in d's buffer: d is not read again
+    tangential = np.subtract(along_j, d, out=d)
     tx, ty, tz = tangential[:, :, 0], tangential[:, :, 1], tangential[:, :, 2]
     b = beta(np.sqrt(tx * tx + ty * ty + tz * tz), h)
     denom = b.sum(axis=1)[:, None]
@@ -197,15 +199,17 @@ def filter_iteration(cloud, normals, params):
     new_pts = _update_all(pts, normals, nbrs, params, h)
     del nbrs, index  # freed before the new positions get theirs
     displacement = np.linalg.norm(new_pts - pts, axis=1)
-    new_cloud = PointCloud(new_pts, normals.copy())
+    mean_step, max_step = float(displacement.mean()), float(displacement.max())
+    del displacement
     new_index = build_neighbor_index(new_pts)
     diagnostics = IterationDiagnostics(
         data_energy=data_energy(normals, new_index, params.k),
-        mean_displacement=float(displacement.mean()),
-        max_displacement=float(displacement.max()),
+        mean_displacement=mean_step,
+        max_displacement=max_step,
         nn_distance_stddev=float(new_index.nearest_distances().std()),
     )
-    return new_cloud, diagnostics
+    del new_index  # freed before the normals are copied
+    return PointCloud(new_pts, normals.copy()), diagnostics
 
 
 def filter_cloud(cloud, normals, params):

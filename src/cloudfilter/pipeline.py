@@ -77,11 +77,15 @@ def run_pipeline(config):
     smoothed = smoothed_normals(
         cloud, config.normal_source, config.pca_k, config.bilateral_params
     )
+    # Each whole-cloud array is dropped at its last use: the input normals
+    # here, the normalized cloud and normals once out_cloud exists.
+    cloud.normals = None
     filtered, diagnostics = _stage(
         "filter", filter_cloud, cloud, smoothed, config.filter_params
     )
 
     out_cloud = PointCloud(transform.invert(filtered.points), filtered.normals)
+    del cloud, smoothed, filtered
     _stage("write", cloud_io.write_cloud, out_cloud, config.output_path, config.format)
 
     diag_path = config.diagnostics_path

@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+import cloudfilter.pipeline as pipeline_module
 from cloudfilter import (
     FilterParams,
     PointCloud,
+    RunConfig,
     beta,
     build_neighbor_index,
     data_energy,
@@ -14,8 +16,10 @@ from cloudfilter import (
     make_clustered_plane,
     make_shape,
     resolve_support_radius,
+    run_pipeline,
     theta,
     update_point,
+    write_cloud,
 )
 from cloudfilter.core import KERNEL_WIDTH_MAX, KERNEL_WIDTH_MIN
 from cloudfilter.filtering import EPSILON_R, _update_all
@@ -293,6 +297,30 @@ class TestFilterCloud:
             assert np.isfinite(diag.data_energy)
             assert diag.mean_displacement <= diag.max_displacement
             assert diag.nn_distance_stddev >= 0
+
+    @pytest.mark.parametrize("call", ["filter_iteration", "filter_cloud", "run_pipeline"])
+    def test_returned_normals_share_no_memory_with_given(self, monkeypatch, tmp_path, call):
+        # The returned cloud holds its own copy of the normals it was given.
+        cloud = make_shape("plane", 10)
+        params = FilterParams(k=8, t=2)
+        if call == "filter_iteration":
+            given, (out, _) = cloud.normals, filter_iteration(cloud, cloud.normals, params)
+        elif call == "filter_cloud":
+            given, (out, _) = cloud.normals, filter_cloud(cloud, cloud.normals, params)
+        else:
+            seen = []
+
+            def spy(*args):
+                seen.append(args[1])  # the normals the filter stage is given
+                return filter_cloud(*args)
+
+            monkeypatch.setattr(pipeline_module, "filter_cloud", spy)
+            write_cloud(cloud, tmp_path / "in.xyz")
+            config = RunConfig(str(tmp_path / "in.xyz"), str(tmp_path / "out.xyz"),
+                               filter_params=params, normal_source="file")
+            out, _, _ = run_pipeline(config)
+            (given,) = seen
+        assert not np.shares_memory(out.normals, given)
 
     def test_mismatched_normals_rejected(self):
         cloud = make_shape("plane", 8)

@@ -210,19 +210,27 @@ class TestOrientMatchesDepthFirstReference:
         cloud = make_shape(kind, samples)
         self._assert_same(cloud.points, random_signs(cloud.normals, 8))
 
+    def _assert_same_on_lattice(self, seed, m, side):
+        """m points on a side^3 lattice, some repeated, with lattice normals
+        and random signs: equal weights and distances abound."""
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, side, size=(m, 3)).astype(np.float64)
+        pts[rng.random(m) < 0.3] = pts[0]
+        normals = rng.integers(-1, 2, size=(m, 3)).astype(np.float64)
+        normals[~normals.any(axis=1)] = [0.0, 0.0, 1.0]
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        self._assert_same(pts, random_signs(normals, seed))
+
     def test_tiny_tie_heavy_clouds(self):
-        # 2 to 9 points on a coarse lattice, some repeated, with lattice
-        # normals: k = m - 1, so every edge is in both rows, and equal
-        # weights and distances abound.
+        # 2 to 9 points: k = m - 1, so every edge is in both rows.
         for seed in range(32):
-            rng = np.random.default_rng(seed)
-            m = 2 + seed % 8
-            pts = rng.integers(0, 3, size=(m, 3)).astype(np.float64)
-            pts[rng.random(m) < 0.3] = pts[0]
-            normals = rng.integers(-1, 2, size=(m, 3)).astype(np.float64)
-            normals[~normals.any(axis=1)] = [0.0, 0.0, 1.0]
-            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-            self._assert_same(pts, random_signs(normals, seed))
+            self._assert_same_on_lattice(seed, 2 + seed % 8, 3)
+
+    def test_small_tie_heavy_lattices(self):
+        # 10 to 25 points: k = 8 < m - 1, so some edges are in one row only
+        # and the order of the first copies decides between equal weights.
+        for seed in range(32):
+            self._assert_same_on_lattice(seed, ORIENT_GRAPH_K + 2 + seed % 16, 4)
 
     def test_sphere_with_noisy_random_normals(self):
         # Non-axis-aligned normals: per-edge dots round, and near-perpendicular

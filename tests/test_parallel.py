@@ -22,6 +22,7 @@ from cloudfilter import (
     estimate_normals_pca,
     evaluate,
     filter_cloud,
+    filter_iteration,
     filtering,
     make_shape,
     orient_normals,
@@ -484,12 +485,26 @@ class TestQueryMemory:
         nbrs = build_neighbor_index(sphere.points).k_nearest_all(k)
         params = FilterParams(k=k, mu=mu)
         out = m * 3 * 8  # the (M, 3) float64 positions returned
-        # per worker, the (BLOCK_ROWS, k, 3) float64 arrays d, n_j, along_j
-        # and tangential, one product temporary and four (BLOCK_ROWS, k)
-        # projections, norms and weights: under seven such blocks
-        blocks = core.WORKERS * 7 * core.BLOCK_ROWS * k * 3 * 8
+        # per worker, the (BLOCK_ROWS, k, 3) float64 arrays d (later the
+        # tangential offsets), n_j (later along_j) and the proj_i product,
+        # and the (BLOCK_ROWS, k) gather indices, projections, norms and
+        # weights: under five such blocks (measured: about four)
+        blocks = core.WORKERS * 5 * core.BLOCK_ROWS * k * 3 * 8
         peak = traced_peak(lambda: _update_all(sphere.points, sphere.normals, nbrs, params, 0.3))
         assert peak < out + blocks
+
+    def test_filter_iteration_whole_call(self, sphere):
+        m, k = self.M, 30
+        params = FilterParams(k=k, mu=0.3)
+        # At the update: the index's points copy and its tree's intp point
+        # order, the int32 neighbour table and the new (M, 3) positions. The
+        # displacements, the diagnostics' index and the normals copy come
+        # later, each once the update's arrays are freed.
+        arrays = m * 3 * 8 + m * 8 + m * k * np.dtype(core.INDEX_DTYPE).itemsize + m * 3 * 8
+        # per worker, the update's blocks (see test_update_all)
+        blocks = core.WORKERS * 5 * core.BLOCK_ROWS * k * 3 * 8
+        peak = traced_peak(lambda: filter_iteration(sphere, sphere.normals, params))
+        assert peak < arrays + blocks
 
     def test_data_energy_holds_one_sum_per_point(self, sphere):
         index = build_neighbor_index(sphere.points)
