@@ -19,7 +19,6 @@ from .filtering import (
     beta,
     data_energy,
     filter_cloud,
-    filter_iteration,
     resolve_support_radius,
     theta,
     update_point,
@@ -57,7 +56,6 @@ __all__ = [
     "estimate_normals_pca",
     "evaluate",
     "filter_cloud",
-    "filter_iteration",
     "make_clustered_plane",
     "make_shape",
     "mean_square_error",

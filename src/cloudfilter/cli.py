@@ -23,7 +23,7 @@ def _parse_h(text):
     mode, sep, mult = text.partition(":")
     try:
         if mode == "auto":
-            return "auto", float(mult) if mult else FilterParams.h_value
+            return "auto", float(mult) if sep else FilterParams.h_value
         if not sep:
             return "fixed", float(text)
     except ValueError:

@@ -183,15 +183,11 @@ def _update_all(points, normals, nbrs, params, h):
     return out
 
 
-def filter_iteration(cloud, normals, params):
-    """One Jacobi sweep over all points.
-
-    Rebuilds the neighbor index on the current positions, resolves the
-    support radius, updates every point from the pre-iteration snapshot and
-    returns the new cloud (normals carried unchanged) plus diagnostics.
-    """
-    pts = cloud.points
-    normals = as_normals(normals, len(pts))
+def filter_iteration(pts, normals, params):
+    """One Jacobi sweep of the checked (M, 3) positions pts against the
+    checked normals: rebuilds the neighbor index, resolves the support
+    radius, updates every point from the pre-iteration snapshot and returns
+    the new positions plus diagnostics."""
     h = resolve_support_radius(params, pts)  # checks h before any row block
     index = build_neighbor_index(pts)
     nbrs = index.k_nearest_all(params.k)
@@ -208,18 +204,17 @@ def filter_iteration(cloud, normals, params):
         max_displacement=max_step,
         nn_distance_stddev=float(new_index.nearest_distances().std()),
     )
-    del new_index  # freed before the normals are copied
-    return PointCloud(new_pts, normals.copy()), diagnostics
+    return new_pts, diagnostics
 
 
 def filter_cloud(cloud, normals, params):
-    """Run params.t filtering iterations; normals stay fixed throughout.
-
-    Returns the filtered cloud and the per-iteration diagnostics.
-    """
-    current = cloud
+    """Run params.t filtering iterations against normals, checked once here;
+    returns the filtered cloud, with its own copy of the normals, and the
+    per-iteration diagnostics."""
+    points = cloud.points
+    normals = as_normals(normals, len(points))
     history = []
     for _ in range(params.t):
-        current, diag = filter_iteration(current, normals, params)
+        points, diag = filter_iteration(points, normals, params)
         history.append(diag)
-    return current, history
+    return PointCloud(points, normals.copy()), history

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import cloudfilter.filtering as filtering
 import cloudfilter.pipeline as pipeline_module
 from cloudfilter import (
     FilterParams,
@@ -12,7 +13,6 @@ from cloudfilter import (
     build_neighbor_index,
     data_energy,
     filter_cloud,
-    filter_iteration,
     make_clustered_plane,
     make_shape,
     resolve_support_radius,
@@ -298,14 +298,12 @@ class TestFilterCloud:
             assert diag.mean_displacement <= diag.max_displacement
             assert diag.nn_distance_stddev >= 0
 
-    @pytest.mark.parametrize("call", ["filter_iteration", "filter_cloud", "run_pipeline"])
+    @pytest.mark.parametrize("call", ["filter_cloud", "run_pipeline"])
     def test_returned_normals_share_no_memory_with_given(self, monkeypatch, tmp_path, call):
         # The returned cloud holds its own copy of the normals it was given.
         cloud = make_shape("plane", 10)
         params = FilterParams(k=8, t=2)
-        if call == "filter_iteration":
-            given, (out, _) = cloud.normals, filter_iteration(cloud, cloud.normals, params)
-        elif call == "filter_cloud":
+        if call == "filter_cloud":
             given, (out, _) = cloud.normals, filter_cloud(cloud, cloud.normals, params)
         else:
             seen = []
@@ -324,13 +322,46 @@ class TestFilterCloud:
 
     def test_mismatched_normals_rejected(self):
         cloud = make_shape("plane", 8)
-        with pytest.raises(ValueError):
-            filter_iteration(cloud, cloud.normals[:-1], FilterParams(k=5))
+        with pytest.raises(ValueError, match="^normals must match points in length$"):
+            filter_cloud(cloud, cloud.normals[:-1], FilterParams(k=5))
 
     def test_k_too_large_rejected(self):
         cloud = make_shape("plane", 3)
-        with pytest.raises(ValueError, match="k exceeds cloud size"):
-            filter_iteration(cloud, cloud.normals, FilterParams(k=9))
+        with pytest.raises(ValueError, match="^k exceeds cloud size$"):
+            filter_cloud(cloud, cloud.normals, FilterParams(k=9))
+
+    def test_iterations_pass_positions_against_one_checked_normals(self, monkeypatch):
+        # filter_cloud checks the normals once and hands every iteration the
+        # same C-contiguous array; the iterations pass positions, not clouds.
+        cloud = make_shape("sphere", 8)
+        params = FilterParams(k=8, t=3)
+        calls, checks = [], []
+        iteration, check = filtering.filter_iteration, filtering.as_normals
+
+        def spy_iteration(points, normals, p):
+            result = iteration(points, normals, p)
+            calls.append((points, normals, result[0]))
+            return result
+
+        def spy_check(*args):
+            checks.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(filtering, "filter_iteration", spy_iteration)
+        monkeypatch.setattr(filtering, "as_normals", spy_check)
+        out, _ = filter_cloud(cloud, np.asfortranarray(cloud.normals), params)
+
+        assert len(calls) == params.t
+        assert len(checks) == params.t + 1  # once in filter_cloud, once per data_energy
+        normals = calls[0][1]
+        assert normals.flags.c_contiguous
+        points = cloud.points
+        for given, given_normals, returned in calls:
+            assert type(given) is np.ndarray
+            assert given is points  # the previous iteration's output
+            assert given_normals is normals
+            points = returned
+        assert out.points.tobytes() == points.tobytes()
 
     def test_all_coincident_cloud_rejected(self):
         cloud = PointCloud(np.ones((10, 3)), np.tile([0.0, 0.0, 1.0], (10, 1)))

@@ -930,7 +930,7 @@ class TestCli:
                 "--normals", "file", "--k", "8", "--iters", "1", "--h", h,
             ]) == 0
 
-    @pytest.mark.parametrize("h", ["autox", "auto:x", "abc"])
+    @pytest.mark.parametrize("h", ["autox", "auto:x", "auto:", "abc"])
     def test_malformed_h_rejected_by_argparse(self, tmp_path, capsys, h):
         clean = tmp_path / "c.xyz"
         write_cloud(make_shape("plane", 8), clean)

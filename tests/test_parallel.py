@@ -22,14 +22,20 @@ from cloudfilter import (
     estimate_normals_pca,
     evaluate,
     filter_cloud,
-    filter_iteration,
     filtering,
     make_shape,
     orient_normals,
     run_pipeline,
     write_cloud,
 )
-from cloudfilter.filtering import _projections, _update_all, _update_rows, beta, data_energy
+from cloudfilter.filtering import (
+    _projections,
+    _update_all,
+    _update_rows,
+    beta,
+    data_energy,
+    filter_iteration,
+)
 from cloudfilter.normals import _MIN_WEIGHT, ORIENT_GRAPH_K
 from cloudfilter.synth import NoiseSpec
 from test_core import ReversedTieTree, coincident_copies, permuted_grid
@@ -498,12 +504,12 @@ class TestQueryMemory:
         params = FilterParams(k=k, mu=0.3)
         # At the update: the index's points copy and its tree's intp point
         # order, the int32 neighbour table and the new (M, 3) positions. The
-        # displacements, the diagnostics' index and the normals copy come
-        # later, each once the update's arrays are freed.
+        # displacements and the diagnostics' index come later, each once the
+        # update's arrays are freed.
         arrays = m * 3 * 8 + m * 8 + m * k * np.dtype(core.INDEX_DTYPE).itemsize + m * 3 * 8
         # per worker, the update's blocks (see test_update_all)
         blocks = core.WORKERS * 5 * core.BLOCK_ROWS * k * 3 * 8
-        peak = traced_peak(lambda: filter_iteration(sphere, sphere.normals, params))
+        peak = traced_peak(lambda: filter_iteration(sphere.points, sphere.normals, params))
         assert peak < arrays + blocks
 
     def test_data_energy_holds_one_sum_per_point(self, sphere):
