@@ -150,15 +150,19 @@ def _update_rows(points, normals, rows, patches, params, h):
     n_i = normals[rows, None, :]
     d, n_j, proj_j, proj_i = _projections(points, normals, rows, patches)
     along_j = np.multiply(proj_j[:, :, None], n_j, out=n_j)  # n_j is not read again
-    # The proj_i products stay a (b, k, 3) array: an einsum over the
-    # broadcast n_i would sum proj_i first and change the bits.
-    data_step = gamma * (np.einsum("ikj->ij", along_j)
-                         + np.einsum("ikj->ij", proj_i[:, :, None] * n_i))
+    along_sum = np.einsum("ikj->ij", along_j)
+    if params.mu != 0.0:
+        # p_i - p_j minus its n_j component, in d's buffer: d is not read again
+        tangential = np.subtract(along_j, d, out=d)
+    # The proj_i products stay a (b, k, 3) array, in along_j's spent buffer:
+    # an einsum over the broadcast n_i would sum proj_i first and change the
+    # bits.
+    across = np.multiply(proj_i[:, :, None], n_i, out=along_j)
+    data_step = gamma * (along_sum + np.einsum("ikj->ij", across))
     if params.mu == 0.0:
         return p + data_step
+    del n_j, along_j, across, proj_j, proj_i  # freed before the weights
 
-    # p_i - p_j minus its n_j component, in d's buffer: d is not read again
-    tangential = np.subtract(along_j, d, out=d)
     tx, ty, tz = tangential[:, :, 0], tangential[:, :, 1], tangential[:, :, 2]
     b = beta(np.sqrt(tx * tx + ty * ty + tz * tz), h)
     denom = b.sum(axis=1)[:, None]

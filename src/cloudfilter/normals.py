@@ -235,18 +235,22 @@ def bilateral_filter_normals(cloud, normals, params):
     del index  # its points copy and tree are not needed by the passes
 
     def smooth(rows):
+        # Each block buffer is reused in place or freed before the next one
+        # is allocated; every in-place form gives the same bits.
         patch = nbrs[rows]
-        d = np.take(pts, patch, axis=0) - pts[rows, None, :]
+        d = np.take(pts, patch, axis=0)
+        d -= pts[rows, None, :]  # p_j - p_i, in the gathered buffer
         dx, dy, dz = d[:, :, 0], d[:, :, 1], d[:, :, 2]
         # a neighbour far beyond sigma_s overflows the argument to -inf,
         # which gives the weight's limit 0
         with np.errstate(over="ignore"):
             ws = np.exp(-(dx * dx + dy * dy + dz * dz) / sigma_s**2)
+        del d, dx, dy, dz  # freed before n_j is gathered
         n_j = np.take(current, patch, axis=0)
         n_i = current[rows]
         dots = np.einsum("ikj,ij->ik", n_j, n_i)
         wr = np.exp(-((1.0 - dots) ** 2) / params.sigma_r**2)
-        weights = ws * wr
+        weights = np.multiply(ws, wr, out=ws)  # ws is not read again
         summed = np.einsum("ik,ikj->ij", weights, n_j)
         sx, sy, sz = summed[:, 0], summed[:, 1], summed[:, 2]
         norms = np.sqrt(sx * sx + sy * sy + sz * sz)

@@ -403,10 +403,10 @@ def traced_peak(compute):
 
 
 class TestQueryMemory:
-    """The whole-cloud queries and the update, energy, orientation, bilateral
-    and metric stages on 20,000 points under 2 workers and the default block
-    size hold no whole-cloud temporaries beyond the arrays they return or
-    need."""
+    """The whole-cloud queries and the PCA, update, energy, orientation,
+    bilateral and metric stages on 20,000 points under 2 workers and the
+    default block size hold no whole-cloud temporaries beyond the arrays they
+    return or need."""
 
     M = 20_000
 
@@ -492,10 +492,11 @@ class TestQueryMemory:
         params = FilterParams(k=k, mu=mu)
         out = m * 3 * 8  # the (M, 3) float64 positions returned
         # per worker, the (BLOCK_ROWS, k, 3) float64 arrays d (later the
-        # tangential offsets), n_j (later along_j) and the proj_i product,
-        # and the (BLOCK_ROWS, k) gather indices, projections, norms and
-        # weights: under five such blocks (measured: about four)
-        blocks = core.WORKERS * 5 * core.BLOCK_ROWS * k * 3 * 8
+        # tangential offsets) and n_j (later along_j, then the proj_i
+        # product), and the (BLOCK_ROWS, k) gather indices, projections,
+        # norms and weights: under 3.5 such blocks (measured: about 2.9; a
+        # third (b, k, 3) array reads about 4)
+        blocks = core.WORKERS * 3.5 * core.BLOCK_ROWS * k * 3 * 8
         peak = traced_peak(lambda: _update_all(sphere.points, sphere.normals, nbrs, params, 0.3))
         assert peak < out + blocks
 
@@ -508,7 +509,7 @@ class TestQueryMemory:
         # update's arrays are freed.
         arrays = m * 3 * 8 + m * 8 + m * k * np.dtype(core.INDEX_DTYPE).itemsize + m * 3 * 8
         # per worker, the update's blocks (see test_update_all)
-        blocks = core.WORKERS * 5 * core.BLOCK_ROWS * k * 3 * 8
+        blocks = core.WORKERS * 3.5 * core.BLOCK_ROWS * k * 3 * 8
         peak = traced_peak(lambda: filter_iteration(sphere.points, sphere.normals, params))
         assert peak < arrays + blocks
 
@@ -529,11 +530,26 @@ class TestQueryMemory:
         # the indexed points, the int32 neighbour table, and the previous and
         # current pass's normals; no (M, k) table of spatial weights
         arrays = m * 3 * 8 + m * k * np.dtype(core.INDEX_DTYPE).itemsize + 2 * m * 3 * 8
-        # per worker, the gathered offsets and normals, (BLOCK_ROWS, k, 3)
-        # float64 each, and the (BLOCK_ROWS, k) weights and their
-        # temporaries: under four (BLOCK_ROWS, k, 3) blocks
-        blocks = core.WORKERS * 4 * core.BLOCK_ROWS * k * 3 * 8
+        # per worker, the gathered offsets, freed once the spatial weights
+        # exist, then the gathered normals, (BLOCK_ROWS, k, 3) float64 each,
+        # and the (BLOCK_ROWS, k) weights and their temporaries: under 2.75
+        # (BLOCK_ROWS, k, 3) blocks (measured: about 2.0; offsets and normals
+        # held together read about 3.2)
+        blocks = core.WORKERS * 2.75 * core.BLOCK_ROWS * k * 3 * 8
         peak = traced_peak(lambda: bilateral_filter_normals(sphere, sphere.normals, params))
+        assert peak < arrays + blocks
+
+    def test_estimate_normals_pca(self, sphere):
+        m, k = self.M, 12
+        # the int32 neighbour table, the (M, 3) eigenvalues, the (M, 3, 3)
+        # eigenvectors and the (M, 3) normals returned
+        arrays = m * k * np.dtype(core.INDEX_DTYPE).itemsize + (3 + 9 + 3) * m * 8
+        # per worker, the gathered neighbours, the (BLOCK_ROWS, k + 1, 3)
+        # float64 patches and their centred copy, and the covariances and
+        # eigenpairs: under three (BLOCK_ROWS, k + 1, 3) blocks (measured:
+        # about 1.9)
+        blocks = core.WORKERS * 3 * core.BLOCK_ROWS * (k + 1) * 3 * 8
+        peak = traced_peak(lambda: estimate_normals_pca(sphere, k))
         assert peak < arrays + blocks
 
     def test_evaluate(self, sphere):
