@@ -143,7 +143,12 @@ def _read_ply_ascii(path):
         elif fields[0] == "property":
             if not elements:
                 raise CloudIOError(f"{path}:{lineno}: property before any element")
-            elements[-1][2].append(fields)
+            if len(fields) != (5 if fields[1:2] == ["list"] else 3):
+                raise CloudIOError(f"{path}:{lineno}: malformed property line")
+            name, _, properties = elements[-1]
+            if name == "vertex" and fields[-1] in [p[-1] for p in properties]:
+                raise CloudIOError(f"{path}:{lineno}: duplicate vertex property {fields[-1]}")
+            properties.append(fields)
         elif fields[0] == "end_header":
             body_start = lineno
             break
@@ -159,22 +164,19 @@ def _read_ply_ascii(path):
     for fields in property_fields:
         if fields[1:2] == ["list"]:
             raise CloudIOError(f"{path}: vertex list property {fields[-1]} is not supported")
-    properties = [fields[-1] for fields in property_fields]
-    try:
-        point_cols = [properties.index(name) for name in ("x", "y", "z")]
-    except ValueError:
-        raise CloudIOError(f"{path}: vertex element lacks x/y/z") from None
-    normal_cols = None
-    if all(n in properties for n in ("nx", "ny", "nz")):
-        normal_cols = [properties.index(name) for name in ("nx", "ny", "nz")]
+    column = {fields[-1]: i for i, fields in enumerate(property_fields)}  # names are unique
+    if not {"x", "y", "z"} <= column.keys():
+        raise CloudIOError(f"{path}: vertex element lacks x/y/z")
 
     body = lines[start : start + vertex_count]
     if len(body) < vertex_count:
         raise CloudIOError(f"{path}: truncated vertex data")
     table = _body_table(path, list(enumerate(body, start=start + 1)),
-                        lambda w: w >= len(properties), "malformed vertex line")
-    normals = None if normal_cols is None else table[:, normal_cols]
-    return _finalize(table[:, point_cols], normals, path)
+                        lambda w: w >= len(column), "malformed vertex line")
+    normals = None
+    if {"nx", "ny", "nz"} <= column.keys():
+        normals = table[:, [column[name] for name in ("nx", "ny", "nz")]]
+    return _finalize(table[:, [column[name] for name in ("x", "y", "z")]], normals, path)
 
 
 def read_cloud(path, format="xyz"):

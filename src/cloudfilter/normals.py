@@ -151,23 +151,20 @@ def _knn_graph(points, normals, k):
     m = len(points)
     nbrs = build_neighbor_index(points).k_nearest_all(k)
 
-    # Key lo * m + hi per entry; the second copy of an edge (j < i and row
-    # j holds i) gets m * m, which sorts past every edge.
+    # Key lo * m + hi per entry; both copies of an edge (row j also holds i)
+    # get the same key, so the sorted keys keep the first of each run.
     keys = np.empty(nbrs.shape, dtype=np.int64)
 
     def edge_keys(rows):
         patch = nbrs[rows]
         row_ids = np.arange(rows.start, rows.stop, dtype=nbrs.dtype)[:, None]
-        mutual = (np.take(nbrs, patch, axis=0) == row_ids[:, :, None]).any(axis=2)
-        lo = np.minimum(patch, row_ids).astype(np.int64)
-        hi = np.maximum(patch, row_ids)
-        keys[rows] = np.where(mutual & (patch < row_ids), m * m, lo * m + hi)
+        keys[rows] = np.minimum(patch, row_ids).astype(np.int64) * m + np.maximum(patch, row_ids)
 
     for_row_blocks(edge_keys, m)
     del nbrs
     keys = keys.ravel()
     keys.sort()
-    keys = keys[:np.searchsorted(keys, m * m)]
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int64) * m)
     cols = np.empty(len(keys), dtype=INDEX_DTYPE)
     weights = np.empty(len(keys))

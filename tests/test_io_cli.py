@@ -503,6 +503,30 @@ class TestPlyHeaderErrors:
         with pytest.raises(CloudIOError, match=rf"h\.ply:{lineno}: {message}"):
             read_cloud(path, format="ply-ascii")
 
+    @pytest.mark.parametrize(
+        "text, lineno, message",
+        [
+            # a name-less line would read as a property named "float" or
+            # "property" and shift every later column; one extra field would
+            # read as the name, so "nx" here would be lost
+            (_ply(["0 0 0 1"], after_vertex=["property float"]), 8, "malformed property line"),
+            (_ply(["0 0 0 1"], after_vertex=["property"]), 8, "malformed property line"),
+            (_ply(["0 0 0"], after_vertex=["element face 0", "property list uchar int"]), 9,
+             "malformed property line"),
+            (_ply(["0 0 0 0 0 1"], after_vertex=["property float nx extra", "property float ny",
+                                                 "property float nz"]), 8,
+             "malformed property line"),
+            # a repeated name would be read from its first column
+            (_ply(["0 0 0 1"], properties="x y z x"), 8, "duplicate vertex property x"),
+        ],
+        ids=["no-name", "bare", "list-no-name", "extra-field", "repeated-x"],
+    )
+    def test_bad_property_line(self, tmp_path, text, lineno, message):
+        path = tmp_path / "h.ply"
+        path.write_text(text)
+        with pytest.raises(CloudIOError, match=rf"h\.ply:{lineno}: {message}$"):
+            read_cloud(path, format="ply-ascii")
+
     def test_bare_format_line(self, tmp_path):
         path = tmp_path / "h.ply"
         path.write_text(_ply(["0 0 0"]).replace("format ascii 1.0", "format"))

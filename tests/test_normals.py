@@ -15,7 +15,7 @@ from cloudfilter import (
 )
 from cloudfilter.core import KERNEL_WIDTH_MAX, KERNEL_WIDTH_MIN, PointCloud, build_neighbor_index
 from cloudfilter.normals import _MIN_WEIGHT, ORIENT_GRAPH_K, _tree_signs
-from test_parallel import edge_pairs, sphere_20k
+from test_parallel import edge_pairs, sphere_20k, undirected_edges
 
 
 def dfs_orient(cloud, normals):
@@ -165,23 +165,36 @@ class TestOrientNormals:
 
 class TestOrientMatchesDepthFirstReference:
     @pytest.fixture(autouse=True)
-    def record_trees(self, monkeypatch):
-        """Keep a copy of each spanning forest orient_normals builds."""
-        self.trees = []
-        build = normals_module.minimum_spanning_tree
+    def record_graphs(self, monkeypatch):
+        """Keep a copy of each k-NN graph and spanning forest orient_normals
+        builds."""
+        self.graphs, self.trees = [], []
+        build, matrix = normals_module.minimum_spanning_tree, normals_module.csr_matrix
 
-        def record(*args, **kwargs):
+        def record_tree(*args, **kwargs):
             tree = build(*args, **kwargs)
             self.trees.append(tree.copy())
             return tree
 
-        monkeypatch.setattr(normals_module, "minimum_spanning_tree", record)
+        def record_graph(*args, **kwargs):
+            graph = matrix(*args, **kwargs)
+            self.graphs.append(graph.copy())  # the spanning tree overwrites the graph
+            return graph
+
+        monkeypatch.setattr(normals_module, "minimum_spanning_tree", record_tree)
+        monkeypatch.setattr(normals_module, "csr_matrix", record_graph)
 
     def _assert_same(self, points, normals):
         cloud = PointCloud(points)
         given = np.array(normals, dtype=np.float64)
+        self.graphs.clear()
         oriented, n_components = orient_normals(cloud, given)
         assert np.array_equal(given, normals)  # the caller's array is not flipped
+        # the first matrix built is the k-NN graph: each undirected edge of
+        # the neighbour table once, in row-major order
+        graph = self.graphs[0].tocoo()
+        nbrs = build_neighbor_index(cloud.points).k_nearest_all(min(ORIENT_GRAPH_K, len(cloud) - 1))
+        assert np.array_equal(np.column_stack([graph.row, graph.col]), undirected_edges(nbrs))
         expected, expected_components, expected_tree = dfs_orient(cloud, normals)
         # the same spanning forest as the symmetric graph's, edge for edge
         got, want = self.trees[-1].tocoo(), expected_tree.tocoo()

@@ -475,14 +475,17 @@ class TestQueryMemory:
             with pytest.raises(GraphBuild):
                 orient_normals(sphere, sphere.normals)
 
-        # normals copy and indexed points, the int32 neighbour table and an
-        # int64 key per table entry; per undirected edge, the int32 column
-        # and float64 weight; the index pointers and the row starts searched
-        # for. Per worker, a row block's gathered normals and its per-edge
-        # temporaries take under four (BLOCK_ROWS * k, 3) float64 blocks
+        # normals copy and indexed points, the int32 neighbour table (freed
+        # before the one-byte mask of kept keys) and an int64 key per table
+        # entry; per undirected edge, the int32 column and float64 weight;
+        # the index pointers and the row starts searched for. Per worker, a
+        # key block takes about one (BLOCK_ROWS * k, 3) float64 block, and a
+        # block of kept edges (its two gathered normal arrays, int64 ends and
+        # dots) under two, as 58 % of this table's entries are kept
+        # (measured: 1.3 MB under the bound in the high mode)
         arrays = (2 * m * 3 * 8 + m * k * (np.dtype(core.INDEX_DTYPE).itemsize + 8)
                   + edges * (4 + 8) + 2 * (m + 1) * 8)
-        blocks = core.WORKERS * 4 * core.BLOCK_ROWS * k * 3 * 8
+        blocks = core.WORKERS * 2 * core.BLOCK_ROWS * k * 3 * 8
         assert traced_peak(orient) < arrays + blocks
 
     @pytest.mark.parametrize("mu", [0.0, 0.3])
@@ -574,9 +577,10 @@ class TestQueryMemory:
         # and the spanning tree's sort order and row ids, under 16 bytes
         # (measured: about 12). The graph build's int64 key per table entry
         # fits in those 16, as each edge fills one or two entries. Per
-        # worker, a row block's temporaries take under four
-        # (BLOCK_ROWS * k, 3) float64 blocks. No transposed or symmetric copy.
+        # worker, a row block's temporaries take under two
+        # (BLOCK_ROWS * k, 3) float64 blocks, as in the test above. No
+        # transposed or symmetric copy.
         arrays = 2 * m * 3 * 8 + m * 5 * 8 + edges * (8 + 4 + 8 + 4 + 4)
-        blocks = core.WORKERS * 4 * core.BLOCK_ROWS * k * 3 * 8
+        blocks = core.WORKERS * 2 * core.BLOCK_ROWS * k * 3 * 8
         needed = arrays + blocks
         assert traced_peak(lambda: orient_normals(sphere, sphere.normals)) < needed
